@@ -222,83 +222,63 @@ type reqFlags struct {
 // buildRequest translates the flags into exactly one validated Request.
 func buildRequest(f reqFlags) (query.Request, error) {
 	req := query.Request{MinSeverity: f.severity, Limit: f.limit}
+	box := func(flagName, v string) func(*query.Request) error {
+		return func(r *query.Request) error {
+			b, err := query.ParseBox(v)
+			if err != nil {
+				return fmt.Errorf("bad %s: %w", flagName, err)
+			}
+			r.Box = &b
+			return nil
+		}
+	}
+	mmsi := func(m uint32) func(*query.Request) error {
+		return func(r *query.Request) error { r.MMSI = m; return nil }
+	}
+	// One selector flag per kind: whether it is set, and how its value
+	// fills the request.
+	selectors := []struct {
+		set  bool
+		kind query.Kind
+		fill func(*query.Request) error
+	}{
+		{f.vessel != 0, query.KindTrajectory, mmsi(f.vessel)},
+		{f.box != "", query.KindSpaceTime, box("-box", f.box)},
+		{f.knn != "", query.KindNearest, func(r *query.Request) error {
+			p, err := query.ParsePoint(f.knn)
+			if err != nil {
+				return fmt.Errorf("bad -knn: %w", err)
+			}
+			r.Lat, r.Lon, r.K, r.Tol = p.Lat, p.Lon, f.k, query.Duration(f.tol)
+			return nil
+		}},
+		{f.live != "", query.KindLivePicture, box("-live", f.live)},
+		{f.situation != "", query.KindSituation, box("-situation", f.situation)},
+		{f.alerts, query.KindAlertHistory, nil},
+		{f.stats, query.KindStats, nil},
+		{f.track != 0, query.KindTrack, mmsi(f.track)},
+		{f.predict != 0, query.KindPredict, func(r *query.Request) error {
+			r.MMSI, r.Horizon = f.predict, query.Duration(f.horizon)
+			return nil
+		}},
+		{f.quality != 0, query.KindQuality, mmsi(f.quality)},
+		{f.anomalies != "", query.KindAnomalies, func(r *query.Request) (err error) {
+			r.MMSI, err = parseAnomalyTarget(f.anomalies)
+			return err
+		}},
+	}
 	modes := 0
-	switch {
-	case f.vessel != 0:
-		modes++
-		req.Kind = query.KindTrajectory
-		req.MMSI = f.vessel
-	}
-	if f.box != "" {
-		modes++
-		b, err := query.ParseBox(f.box)
-		if err != nil {
-			return req, fmt.Errorf("bad -box: %w", err)
+	for _, sel := range selectors {
+		if !sel.set {
+			continue
 		}
-		req.Kind = query.KindSpaceTime
-		req.Box = &b
-	}
-	if f.knn != "" {
 		modes++
-		p, err := query.ParsePoint(f.knn)
-		if err != nil {
-			return req, fmt.Errorf("bad -knn: %w", err)
+		req.Kind = sel.kind
+		if sel.fill != nil {
+			if err := sel.fill(&req); err != nil {
+				return req, err
+			}
 		}
-		req.Kind = query.KindNearest
-		req.Lat, req.Lon = p.Lat, p.Lon
-		req.K = f.k
-		req.Tol = query.Duration(f.tol)
-	}
-	if f.live != "" {
-		modes++
-		b, err := query.ParseBox(f.live)
-		if err != nil {
-			return req, fmt.Errorf("bad -live: %w", err)
-		}
-		req.Kind = query.KindLivePicture
-		req.Box = &b
-	}
-	if f.situation != "" {
-		modes++
-		b, err := query.ParseBox(f.situation)
-		if err != nil {
-			return req, fmt.Errorf("bad -situation: %w", err)
-		}
-		req.Kind = query.KindSituation
-		req.Box = &b
-	}
-	if f.alerts {
-		modes++
-		req.Kind = query.KindAlertHistory
-	}
-	if f.stats {
-		modes++
-		req.Kind = query.KindStats
-	}
-	if f.track != 0 {
-		modes++
-		req.Kind = query.KindTrack
-		req.MMSI = f.track
-	}
-	if f.predict != 0 {
-		modes++
-		req.Kind = query.KindPredict
-		req.MMSI = f.predict
-		req.Horizon = query.Duration(f.horizon)
-	}
-	if f.quality != 0 {
-		modes++
-		req.Kind = query.KindQuality
-		req.MMSI = f.quality
-	}
-	if f.anomalies != "" {
-		modes++
-		req.Kind = query.KindAnomalies
-		mmsi, err := parseAnomalyTarget(f.anomalies)
-		if err != nil {
-			return req, err
-		}
-		req.MMSI = mmsi
 	}
 	if modes != 1 {
 		return req, fmt.Errorf("pass exactly one of -vessel, -box, -knn, -live, -situation, -alerts, -stats, -track, -predict, -quality, -anomalies (got %d)", modes)
@@ -411,7 +391,7 @@ func openExecutor(read, data, remote, httpAddr string) (query.Executor, string, 
 // anomalies is the deviation ticker: the ranked behavior-shift board
 // (or one vessel's report, with -anomalies MMSI) every tick.
 func streamUpdates(httpAddr, watch string, follow, predict uint32, horizon time.Duration, anomalies string, count int, fromSeq uint64, asJSON bool) {
-	var req query.Request
+	f := reqFlags{vessel: follow}
 	switch {
 	case watch != "" && follow != 0:
 		log.Fatal("pass exactly one of -watch, -follow")
@@ -419,34 +399,20 @@ func streamUpdates(httpAddr, watch string, follow, predict uint32, horizon time.
 		if predict == 0 {
 			log.Fatal("-watch predict needs the vessel: pass -predict MMSI (and -horizon)")
 		}
-		req = query.Request{Kind: query.KindPredict, MMSI: predict, Horizon: query.Duration(horizon)}
-		if err := req.Validate(); err != nil {
-			log.Fatal(err)
-		}
+		f = reqFlags{predict: predict, horizon: horizon}
 	case watch == "anomalies":
-		var mmsi uint32
+		f = reqFlags{anomalies: "ranked"}
 		if anomalies != "" {
-			m, err := parseAnomalyTarget(anomalies)
-			if err != nil {
-				log.Fatal(err)
-			}
-			mmsi = m
-		}
-		req = query.Request{Kind: query.KindAnomalies, MMSI: mmsi}
-		if err := req.Validate(); err != nil {
-			log.Fatal(err)
+			f.anomalies = anomalies
 		}
 	case watch != "":
-		b, err := query.ParseBox(watch)
-		if err != nil {
-			log.Fatalf("bad -watch: %v", err)
-		}
-		req = query.Request{Kind: query.KindSpaceTime, Box: &b}
-	default:
-		req = query.Request{Kind: query.KindTrajectory, MMSI: follow}
+		f = reqFlags{box: watch}
 	}
-	c := query.NewClient(httpAddr)
-	sub, err := c.Subscribe(req, query.SubOptions{FromSeq: fromSeq})
+	req, err := buildRequest(f)
+	if err != nil {
+		log.Fatalf("-watch/-follow: %v", err)
+	}
+	sub, err := query.NewClient(httpAddr).Subscribe(req, query.SubOptions{FromSeq: fromSeq})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -466,34 +432,9 @@ func streamUpdates(httpAddr, watch string, follow, predict uint32, horizon time.
 		} else if u.Alert != nil {
 			a := u.Alert
 			fmt.Printf("#%-8d [sev%d] %-18s vessel %d: %s\n", u.Seq, a.Severity, a.Kind, a.MMSI, a.Note)
-		} else if u.Prediction != nil {
-			p := u.Prediction
-			fmt.Printf("#%-8d vessel %-9d %8.4f,%9.4f  at %s (+%s, %s, ±%.0f m)\n",
-				u.Seq, p.MMSI, p.Lat, p.Lon, p.At.Format("15:04:05"),
-				time.Duration(p.Horizon), p.Method, p.ConfidenceM)
-		} else if u.Track != nil {
-			s := u.Track
-			fmt.Printf("#%-8d vessel %-9d %8.4f,%9.4f  %5.1f kn  ±%.0f m  %s\n",
-				u.Seq, s.MMSI, s.Lat, s.Lon, s.SpeedKn, s.SigmaM, s.At.Format("15:04:05"))
-		} else if u.Quality != nil {
-			q := u.Quality
-			fmt.Printf("#%-8d vessel %-9d reliability %.3f (lower %.3f), %d/%d flagged\n",
-				u.Seq, q.MMSI, q.Reliability, q.LowerBound, q.Flagged, q.Checked)
-		} else if u.Anomalies != nil {
-			if v := u.Anomalies.Vessel; v != nil {
-				fmt.Printf("#%-8d vessel %-9d score %.3f (spd %.3f hdg %.3f pos %.3f)  %d gaps  %s\n",
-					u.Seq, v.MMSI, v.Score, v.SpeedShift, v.HeadingShift, v.PositionShift,
-					v.Gaps, v.At.Format("15:04:05"))
-			} else {
-				fmt.Printf("#%-8d %d vessels by deviation score\n", u.Seq, len(u.Anomalies.Ranked))
-				top := u.Anomalies.Ranked
-				if len(top) > 5 {
-					top = top[:5]
-				}
-				for i, v := range top {
-					fmt.Printf("  %d. vessel %-9d score %.3f  %d gaps\n", i+1, v.MMSI, v.Score, v.Gaps)
-				}
-			}
+		} else if r := render[query.Kind(u.Kind)]; r != nil {
+			fmt.Printf("#%-8d ", u.Seq)
+			r(req, &query.Result{Kind: query.Kind(u.Kind), Payload: u.Payload})
 		} else if u.Kind == query.UpdateRewound {
 			fmt.Fprintf(os.Stderr, "(stream rewound: daemon restarted — cursor reset to seq %d in epoch %x; retained-but-undelivered updates from the old epoch are gone)\n",
 				u.Seq, u.Epoch)
@@ -514,10 +455,18 @@ func streamUpdates(httpAddr, watch string, follow, predict uint32, horizon time.
 	}
 }
 
-// printResult renders the human summary for each kind.
+// printResult renders the human summary of a one-shot answer.
 func printResult(req query.Request, res *query.Result) {
-	switch res.Kind {
-	case query.KindTrajectory:
+	render[res.Kind](req, res)
+	if res.Truncated {
+		fmt.Printf("(truncated to -limit %d of %d)\n", req.Limit, res.Count)
+	}
+}
+
+// render holds each kind's human summary; -watch prints ticks through
+// the same renderers.
+var render = map[query.Kind]func(req query.Request, res *query.Result){
+	query.KindTrajectory: func(req query.Request, res *query.Result) {
 		if res.Count == 0 {
 			log.Fatalf("vessel %d not found", req.MMSI)
 		}
@@ -526,26 +475,30 @@ func printResult(req query.Request, res *query.Result) {
 			req.MMSI, tr.Len(),
 			tr.Start().Format(time.RFC3339), tr.End().Format(time.RFC3339),
 			tr.Length()/1000)
-	case query.KindSpaceTime:
+	},
+	query.KindSpaceTime: func(_ query.Request, res *query.Result) {
 		seen := map[uint32]bool{}
 		for _, s := range res.States {
 			seen[s.MMSI] = true
 		}
 		fmt.Printf("box query: %d points from %d vessels\n", res.Count, len(seen))
-	case query.KindNearest:
+	},
+	query.KindNearest: func(req query.Request, res *query.Result) {
 		p := geo.Point{Lat: req.Lat, Lon: req.Lon}
 		for i, s := range res.States {
 			sp := geo.Point{Lat: s.Lat, Lon: s.Lon}
 			fmt.Printf("%d. vessel %d at %s (%.1f km away, %s)\n",
 				i+1, s.MMSI, sp, geo.Distance(p, sp)/1000, s.At.Format("15:04:05"))
 		}
-	case query.KindLivePicture:
+	},
+	query.KindLivePicture: func(_ query.Request, res *query.Result) {
 		fmt.Printf("live picture: %d vessels\n", res.Count)
 		for _, s := range res.States {
 			fmt.Printf("  vessel %-9d %8.4f,%9.4f  %5.1f kn  %s\n",
 				s.MMSI, s.Lat, s.Lon, s.SpeedKn, s.At.Format("15:04:05"))
 		}
-	case query.KindSituation:
+	},
+	query.KindSituation: func(_ query.Request, res *query.Result) {
 		sit := res.Situation
 		fmt.Printf("SITUATION %s — %d vessels, %d alerts\n",
 			sit.At.Format("2006-01-02 15:04:05"), len(sit.Vessels), len(sit.Alerts))
@@ -557,13 +510,15 @@ func printResult(req query.Request, res *query.Result) {
 		for _, a := range sit.Alerts[:n] {
 			fmt.Printf("  [sev%d] %-18s vessel %-9d %s\n", a.Severity, a.Kind, a.MMSI, a.Note)
 		}
-	case query.KindAlertHistory:
+	},
+	query.KindAlertHistory: func(_ query.Request, res *query.Result) {
 		fmt.Printf("%d alerts\n", res.Count)
 		for _, a := range res.Alerts {
 			fmt.Printf("  [%s] sev%d %-18s vessel %d: %s\n",
 				a.At.Format("15:04:05"), a.Severity, a.Kind, a.MMSI, a.Note)
 		}
-	case query.KindTrack:
+	},
+	query.KindTrack: func(req query.Request, res *query.Result) {
 		if res.Track == nil {
 			log.Fatalf("vessel %d not found", req.MMSI)
 		}
@@ -579,7 +534,8 @@ func printResult(req query.Request, res *query.Result) {
 		for _, src := range sortedKeys(s.Sources) {
 			fmt.Printf("  %d %s measurements\n", s.Sources[src], src)
 		}
-	case query.KindPredict:
+	},
+	query.KindPredict: func(req query.Request, res *query.Result) {
 		if res.Prediction == nil {
 			log.Fatalf("vessel %d not found", req.MMSI)
 		}
@@ -587,7 +543,8 @@ func printResult(req query.Request, res *query.Result) {
 		fmt.Printf("vessel %d at %s (+%s from %s): %.5f,%.5f  (%s, ±%.0f m)\n",
 			p.MMSI, p.At.Format(time.RFC3339), time.Duration(p.Horizon),
 			p.From.Format("15:04:05"), p.Lat, p.Lon, p.Method, p.ConfidenceM)
-	case query.KindQuality:
+	},
+	query.KindQuality: func(req query.Request, res *query.Result) {
 		if res.Quality == nil {
 			log.Fatalf("vessel %d not found", req.MMSI)
 		}
@@ -597,17 +554,17 @@ func printResult(req query.Request, res *query.Result) {
 		for _, rule := range sortedKeys(q.Issues) {
 			fmt.Printf("  %-16s %d\n", rule, q.Issues[rule])
 		}
-	case query.KindAnomalies:
+	},
+	query.KindAnomalies: func(req query.Request, res *query.Result) {
 		if res.Anomalies == nil {
 			log.Fatal("no anomaly report (is the daemon running, or the archive empty?)")
 		}
 		if req.MMSI != 0 {
-			v := res.Anomalies.Vessel
-			if v == nil {
+			if res.Anomalies.Vessel == nil {
 				log.Fatalf("vessel %d not found", req.MMSI)
 			}
-			printVesselAnomaly(v)
-			break
+			printVesselAnomaly(res.Anomalies.Vessel)
+			return
 		}
 		fmt.Printf("%d vessels by deviation score\n", len(res.Anomalies.Ranked))
 		for i, v := range res.Anomalies.Ranked {
@@ -615,7 +572,8 @@ func printResult(req query.Request, res *query.Result) {
 				i+1, v.MMSI, v.Score, v.SpeedShift, v.HeadingShift, v.PositionShift,
 				v.Gaps, v.Samples)
 		}
-	case query.KindStats:
+	},
+	query.KindStats: func(_ query.Request, res *query.Result) {
 		st := res.Stats
 		fmt.Printf("%d points, %d vessels, %d live, %d alerts\n",
 			st.Points, st.Vessels, st.Live, st.Alerts)
@@ -631,10 +589,7 @@ func printResult(req query.Request, res *query.Result) {
 			}
 			fmt.Println()
 		}
-	}
-	if res.Truncated {
-		fmt.Printf("(truncated to -limit %d of %d)\n", req.Limit, res.Count)
-	}
+	},
 }
 
 // printVesselAnomaly renders one vessel's full deviation report: the

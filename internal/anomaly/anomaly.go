@@ -17,8 +17,8 @@
 //     physically feasible covert meetings (events.PossibleRendezvous) —
 //     the offline E13 sweep, folded into the stream.
 //
-// The stage answers the engine's anomalies kind through
-// query.AnomalySource (Stages routes each vessel to its owning shard's
+// The stage set answers the engine's anomalies kind as a lane of the
+// live source (Stages.Answer routes each vessel to its owning shard's
 // stage), so one-shot HTTP, standing /v1/stream subscriptions,
 // federation and tiering all read the same state — and the profile fold
 // itself lives in internal/query, shared with the offline replay
@@ -277,14 +277,14 @@ func (sh *shared) gapClosed(g events.Gap) {
 
 // Stages is the sharded stage set: one Stage per ingest shard, vessels
 // routed by the same hash the pipelines shard by, plus the shared
-// materialisation/CEP core. It implements query.AnomalySource, so the
+// materialisation/CEP core. It implements query.Answerer, so the
 // engine's live source reads behavior profiles straight from it.
 type Stages struct {
 	stages []*Stage
 	shared *shared
 }
 
-var _ query.AnomalySource = (*Stages)(nil)
+var _ query.Answerer = (*Stages)(nil)
 
 // NewStages builds n stages (one per shard) over one shared core.
 func NewStages(n int, cfg Config) *Stages {
@@ -315,14 +315,33 @@ func (ss *Stages) ShardFor(mmsi uint32) *Stage {
 // is called outside every stage lock.
 func (ss *Stages) OnAlert(fn func(events.Alert)) { ss.shared.onAlert = fn }
 
-// VesselAnomaly implements query.AnomalySource.
+// Answer implements query.Answerer for the anomalies kind: the fleet
+// ranking, or the owning shard's profile of one vessel. It declines
+// other kinds and vessels the stage has not observed; the engine
+// answers those by replay.
+func (ss *Stages) Answer(req query.Request) (*query.Result, bool) {
+	if req.Kind != query.KindAnomalies {
+		return nil, false
+	}
+	rep := &query.AnomalyReport{}
+	if req.MMSI == 0 {
+		rep.Ranked, _ = ss.RankedAnomalies(req.Limit)
+	} else if va, ok := ss.VesselAnomaly(req.MMSI); ok {
+		rep.Vessel = va
+	} else {
+		return nil, false
+	}
+	return &query.Result{Kind: req.Kind, Payload: query.Payload{Anomalies: rep}}, true
+}
+
+// VesselAnomaly returns one vessel's report (nil, false when unknown).
 func (ss *Stages) VesselAnomaly(mmsi uint32) (*query.VesselAnomaly, bool) {
 	return ss.ShardFor(mmsi).VesselAnomaly(mmsi)
 }
 
-// RankedAnomalies implements query.AnomalySource: every shard's reports
-// merged, sorted score-descending (MMSI ascending on ties) and
-// truncated to limit when limit > 0.
+// RankedAnomalies returns every shard's reports merged, sorted
+// score-descending (MMSI ascending on ties) and truncated to limit when
+// limit > 0. A stage set always knows its fleet: ok is always true.
 func (ss *Stages) RankedAnomalies(limit int) ([]query.VesselAnomaly, bool) {
 	var out []query.VesselAnomaly
 	for _, st := range ss.stages {

@@ -1,11 +1,10 @@
 // Package fusion implements the "low-level" information-fusion chain of
 // the paper's §2.4: building vessel tracks from position measurements,
-// associating new contacts to tracks, recognising when two sources
-// describe the same object, and fusing track estimates. The pieces are a
-// constant-velocity Kalman filter on a local tangent plane, Mahalanobis
-// gating, global-nearest-neighbour association via the Hungarian
-// algorithm, a track lifecycle manager, and covariance intersection for
-// track-to-track fusion.
+// associating new contacts to tracks, and recognising when two sources
+// describe the same object. The pieces are a constant-velocity Kalman
+// filter on a local tangent plane, Mahalanobis gating,
+// global-nearest-neighbour association via the Hungarian algorithm, and
+// a track lifecycle manager.
 package fusion
 
 import (
@@ -21,57 +20,6 @@ type Vec4 [4]float64
 
 // Mat4 is a 4×4 matrix in row-major order.
 type Mat4 [16]float64
-
-// Identity4 returns the identity matrix.
-func Identity4() Mat4 {
-	var m Mat4
-	m[0], m[5], m[10], m[15] = 1, 1, 1, 1
-	return m
-}
-
-// mul4 multiplies two 4×4 matrices.
-func mul4(a, b Mat4) Mat4 {
-	var c Mat4
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			var s float64
-			for k := 0; k < 4; k++ {
-				s += a[i*4+k] * b[k*4+j]
-			}
-			c[i*4+j] = s
-		}
-	}
-	return c
-}
-
-// transpose4 transposes a 4×4 matrix.
-func transpose4(a Mat4) Mat4 {
-	var t Mat4
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			t[j*4+i] = a[i*4+j]
-		}
-	}
-	return t
-}
-
-// add4 adds two 4×4 matrices.
-func add4(a, b Mat4) Mat4 {
-	var c Mat4
-	for i := range c {
-		c[i] = a[i] + b[i]
-	}
-	return c
-}
-
-// mulVec4 multiplies a 4×4 matrix by a vector.
-func mulVec4(a Mat4, v Vec4) Vec4 {
-	var r Vec4
-	for i := 0; i < 4; i++ {
-		r[i] = a[i*4]*v[0] + a[i*4+1]*v[1] + a[i*4+2]*v[2] + a[i*4+3]*v[3]
-	}
-	return r
-}
 
 // Mat2 is a 2×2 matrix (measurement space).
 type Mat2 [4]float64
@@ -264,39 +212,4 @@ func (k *KalmanCV) PositionUncertaintyM() float64 {
 func (k *KalmanCV) PredictedPosition(at time.Time) geo.Point {
 	dt := at.Sub(k.T).Seconds()
 	return k.Plane.Inverse(k.X[0]+k.X[2]*dt, k.X[1]+k.X[3]*dt)
-}
-
-// CovarianceIntersection fuses two (position, covariance) estimates of the
-// same object without knowing their cross-correlation — the standard
-// conservative rule for track-to-track fusion across systems. omega is
-// chosen to minimise the fused covariance determinant over a small grid.
-func CovarianceIntersection(x1 [2]float64, P1 Mat2, x2 [2]float64, P2 Mat2) ([2]float64, Mat2) {
-	best := math.Inf(1)
-	var bestX [2]float64
-	var bestP Mat2
-	for w := 0.05; w <= 0.951; w += 0.05 {
-		P1i, ok1 := P1.inv()
-		P2i, ok2 := P2.inv()
-		if !ok1 || !ok2 {
-			continue
-		}
-		var Ci Mat2
-		for i := range Ci {
-			Ci[i] = w*P1i[i] + (1-w)*P2i[i]
-		}
-		C, ok := Ci.inv()
-		if !ok {
-			continue
-		}
-		// y = C (w P1⁻¹ x1 + (1-w) P2⁻¹ x2)
-		a0 := w*(P1i[0]*x1[0]+P1i[1]*x1[1]) + (1-w)*(P2i[0]*x2[0]+P2i[1]*x2[1])
-		a1 := w*(P1i[2]*x1[0]+P1i[3]*x1[1]) + (1-w)*(P2i[2]*x2[0]+P2i[3]*x2[1])
-		y := [2]float64{C[0]*a0 + C[1]*a1, C[2]*a0 + C[3]*a1}
-		if d := C.det(); d < best {
-			best = d
-			bestX = y
-			bestP = C
-		}
-	}
-	return bestX, bestP
 }

@@ -5,47 +5,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/tstore"
 )
 
-// This file is the engine's incident surface: the flightSink wrapper
-// that lands stage failures in the flight ring, and the readiness
-// aggregation /readyz serves. Liveness needs nothing from the engine —
-// a process that answers is alive; readiness is the judgement call, so
-// it reads the same per-layer signals the flight recorder narrates.
-
-// flightSink wraps a tee'd stage sink (track, anomaly) so its first
-// failure lands in the flight ring. The error itself still latches in
-// the shard store's SinkErr — this wrapper adds the when, not the what.
-// One event per stage lifetime: a failing stage fails every batch, and
-// the ring should hold the incident's onset, not its echo.
-type flightSink struct {
-	sink    tstore.Sink
-	flight  *obs.Flight
-	layer   string
-	errored atomic.Bool
-}
-
-func (s *flightSink) Append(recs ...model.VesselState) error {
-	err := s.sink.Append(recs...)
-	if err != nil && s.errored.CompareAndSwap(false, true) {
-		s.flight.Record(obs.FlightError, s.layer, "stage append failed",
-			obs.FS("error", err.Error()))
-	}
-	return err
-}
-
-// flightWrap interposes a flightSink when the engine has a flight
-// recorder; without one the stage attaches bare.
-func (e *Engine) flightWrap(s tstore.Sink, layer string) tstore.Sink {
-	if e.cfg.Flight == nil {
-		return s
-	}
-	return &flightSink{sink: s, flight: e.cfg.Flight, layer: layer}
-}
+// This file is the engine's readiness aggregation, the surface /readyz
+// serves. Liveness needs nothing from the engine — a process that
+// answers is alive; readiness is the judgement call, so it reads the
+// same per-layer signals the flight recorder narrates.
 
 // HealthOptions tunes the readiness thresholds. The zero value is
 // usable: every bound defaults at Health.

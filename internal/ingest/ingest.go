@@ -160,9 +160,8 @@ type Config struct {
 	// Flight, when non-nil, is the black-box flight recorder every layer
 	// of the dataflow writes its load-bearing transitions into: segment
 	// seals and upload outcomes, upload-queue stalls, flush
-	// backpressure, tier evictions and page-back failures, subscriber
-	// drops, and track/anomaly stage failures. Nil keeps every site on
-	// its nil-check branch.
+	// backpressure, tier evictions and page-back failures, and
+	// subscriber drops. Nil keeps every site on its nil-check branch.
 	Flight *obs.Flight
 }
 
@@ -281,13 +280,13 @@ func (e *Engine) Start(ctx context.Context) {
 		if e.flusher != nil {
 			sinks = append(sinks, e.flusher)
 		}
+		// Same shard routing as the pipelines (stream.ShardOf), so each
+		// stage sees exactly its shard's vessels.
 		if e.tracks != nil {
-			// Same shard routing as the pipelines (stream.ShardOf), so each
-			// stage sees exactly its shard's vessels.
-			sinks = append(sinks, e.flightWrap(e.tracks[i], "track"))
+			sinks = append(sinks, e.tracks[i])
 		}
 		if e.anoms != nil {
-			sinks = append(sinks, e.flightWrap(e.anoms.Stage(i), "anomaly"))
+			sinks = append(sinks, e.anoms.Stage(i))
 		}
 		if len(sinks) == 1 {
 			p.Store.Attach(sinks[0])
@@ -613,14 +612,13 @@ func (e *Engine) IngestDetections(ds []track.Detection) int {
 }
 
 // Tracks exposes the online track stage (nil when Config.Track is nil):
-// fused per-vessel state, the TrackIntelSource the query engine reads,
-// and the stage counters.
+// fused per-vessel state, the lane the query engine reads, and the
+// stage counters.
 func (e *Engine) Tracks() track.Stages { return e.tracks }
 
 // Anomalies exposes the streaming anomaly lane (nil when Config.Anomaly
-// is nil): per-vessel behavior profiles, the AnomalySource the query
-// engine reads, episode/gap/rendezvous tallies and the retained CEP
-// alerts.
+// is nil): per-vessel behavior profiles, the lane the query engine
+// reads, episode/gap/rendezvous tallies and the retained CEP alerts.
 func (e *Engine) Anomalies() *anomaly.Stages { return e.anoms }
 
 // Sharded exposes the underlying pipelines for synchronous queries —
@@ -638,18 +636,16 @@ func (e *Engine) Sharded() *core.Sharded { return e.sharded }
 // ingesting: reads see each shard's consistent current state.
 func (e *Engine) QueryEngine() *query.Engine {
 	e.queryOnce.Do(func() {
-		// The live source answers the track-intelligence kinds straight
-		// from the online stage when one runs; a plain nil (not a typed
-		// nil in the interface) keeps the derive-from-archive fallback.
-		var ti query.TrackIntelSource
+		// The live source answers the derived kinds straight from the
+		// online lanes that run, by replaying the shard stores otherwise.
+		var lanes []query.Answerer
 		if e.tracks != nil {
-			ti = e.tracks
+			lanes = append(lanes, e.tracks)
 		}
-		var ai query.AnomalySource
 		if e.anoms != nil {
-			ai = e.anoms
+			lanes = append(lanes, e.anoms)
 		}
-		sources := append([]query.Source{query.NewLiveSourceIntel(e.sharded, ti, ai)}, e.cfg.Peers...)
+		sources := append([]query.Source{query.NewLiveSource(e.sharded, lanes...)}, e.cfg.Peers...)
 		e.query = query.NewEngine(sources...)
 		if e.cfg.Obs != nil {
 			e.query.Instrument(e.cfg.Obs)

@@ -5,10 +5,10 @@
 // the same read.
 //
 // Like the track-intelligence kinds, a Source that maintains live
-// per-vessel profiles (the ingest engine's internal/anomaly stage, a
-// federation peer) implements AnomalySource and answers directly; every
-// other source is answered by replaying its stored trajectory through
-// the same AnomalyAccumulator fold (DeriveAnomalies). The fold is a pure
+// per-vessel profiles (the live source through the ingest engine's
+// internal/anomaly lane, a federation peer) answers directly through
+// Answerer; every other source is answered by replaying its stored
+// trajectory through the same AnomalyAccumulator fold (DeriveAnomalies). The fold is a pure
 // function of the point sequence — fixed bin layouts, fixed thresholds
 // (the package constants below, not a config), no wall clock — so online
 // and replayed answers are byte-identical, and a tiered store that
@@ -55,22 +55,6 @@ const (
 	anomalySpeedBinKn = 2.0
 	anomalyHeadBins   = 16
 )
-
-// AnomalySource is the optional Source extension for the anomalies kind.
-// Sources that maintain (or can fetch) live behavior profiles answer
-// directly — the engine takes an implementation's answer as
-// authoritative, nil/empty included. Sources without it are answered by
-// replaying their stored trajectories (DeriveAnomalies).
-type AnomalySource interface {
-	// VesselAnomaly returns one vessel's deviation report, or ok=false
-	// when the vessel is unknown.
-	VesselAnomaly(mmsi uint32) (*VesselAnomaly, bool)
-	// RankedAnomalies returns the fleet ordered by deviation score
-	// (descending, MMSI ascending on ties), at most limit entries
-	// (unlimited when limit <= 0); ok=false when the source cannot
-	// answer (a degraded peer).
-	RankedAnomalies(limit int) ([]VesselAnomaly, bool)
-}
 
 // EpisodeInfo is the wire form of one stop/move episode: the semstore
 // segmentation (activity by speed thresholds, centroid, mean speed)

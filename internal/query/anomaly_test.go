@@ -229,7 +229,7 @@ func TestAnomaliesTickers(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, u := range got {
-				if u.Kind != UpdateAnomalies || u.Anomalies == nil {
+				if u.Kind != UpdateKind(KindAnomalies) || u.Anomalies == nil {
 					t.Fatalf("update %d: %+v", i, u)
 				}
 				if u.Seq != uint64(i+1) {
@@ -279,7 +279,7 @@ func TestAnomaliesStreamOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, u := range got {
-		if u.Kind != UpdateAnomalies || u.Anomalies == nil {
+		if u.Kind != UpdateKind(KindAnomalies) || u.Anomalies == nil {
 			t.Fatalf("update %d: %+v", i, u)
 		}
 		if i > 0 && u.Seq <= got[i-1].Seq {

@@ -193,73 +193,7 @@ func (e *Engine) QueryContext(ctx context.Context, req Request) (*Result, error)
 		names[i] = s.Name()
 	}
 	res := &Result{Kind: req.Kind, Sources: names}
-	switch req.Kind {
-	case KindTrajectory:
-		from, to := req.timeRange()
-		lists := gather(q, srcs, func(s Source) []model.VesselState {
-			return s.Trajectory(req.MMSI, from, to)
-		})
-		finishStates(q, req, res, flatten(lists))
-	case KindSpaceTime:
-		from, to := req.timeRange()
-		lists := gather(q, srcs, func(s Source) []model.VesselState {
-			return s.SpaceTime(req.Box.Rect(), from, to)
-		})
-		finishStates(q, req, res, flatten(lists))
-	case KindNearest:
-		nearest(q, srcs, req, res)
-	case KindLivePicture:
-		states := livePicture(q, srcs, req.Box.Rect())
-		res.Count = len(states)
-		for _, s := range truncateStates(states, req.Limit, res) {
-			res.States = append(res.States, StateOf(s))
-		}
-	case KindSituation:
-		res.Situation = situation(q, srcs, req)
-		res.Count = len(res.Situation.Vessels)
-	case KindAlertHistory:
-		alertHistory(q, srcs, req, res)
-	case KindStats:
-		res.Stats = stats(q, srcs, req.MMSIs)
-		res.Count = res.Stats.Points
-	case KindTrack:
-		res.Track = bestAnswer(q, srcs,
-			func(s Source) *TrackState { return trackFrom(s, req.MMSI) },
-			func(a, b *TrackState) bool { return a.At.After(b.At) })
-		if res.Track != nil {
-			res.Count = 1
-		}
-	case KindPredict:
-		res.Prediction = bestAnswer(q, srcs,
-			func(s Source) *Prediction { return predictFrom(s, req.MMSI, time.Duration(req.Horizon)) },
-			func(a, b *Prediction) bool { return a.From.After(b.From) })
-		if res.Prediction != nil {
-			res.Count = 1
-		}
-	case KindQuality:
-		res.Quality = bestAnswer(q, srcs,
-			func(s Source) *QualityScore { return qualityFrom(s, req.MMSI) },
-			func(a, b *QualityScore) bool { return a.Checked > b.Checked })
-		if res.Quality != nil {
-			res.Count = 1
-		}
-	case KindAnomalies:
-		if req.MMSI != 0 {
-			va := bestAnswer(q, srcs,
-				func(s Source) *VesselAnomaly { return vesselAnomalyFrom(s, req.MMSI) },
-				betterVesselAnomaly)
-			if va != nil {
-				res.Anomalies = &AnomalyReport{Vessel: va}
-				res.Count = 1
-			}
-		} else {
-			lists := gather(q, srcs, func(s Source) []VesselAnomaly {
-				return rankedAnomaliesFrom(s, req.Limit)
-			})
-			res.Anomalies = &AnomalyReport{Ranked: mergeRankedAnomalies(q, lists, req.Limit, res)}
-			res.Count = len(res.Anomalies.Ranked)
-		}
-	}
+	kindIndex[req.Kind].run(q, srcs, req, res)
 	if e.reg != nil {
 		e.reg.Counter("query_requests_total", "kind", string(req.Kind)).Inc()
 		e.reg.Histogram("query_latency_ns", "kind", string(req.Kind)).ObserveSince(t0)
@@ -297,12 +231,34 @@ func tracedSources(srcs []Source, tr *obs.Trace) []Source {
 	return out
 }
 
+func runTrajectory(q qobs, srcs []Source, req Request, res *Result) {
+	from, to := req.timeRange()
+	finishStates(q, req, res, flatten(gather(q, srcs, func(s Source) []model.VesselState {
+		return s.Trajectory(req.MMSI, from, to)
+	})))
+}
+
+func runSpaceTime(q qobs, srcs []Source, req Request, res *Result) {
+	from, to := req.timeRange()
+	finishStates(q, req, res, flatten(gather(q, srcs, func(s Source) []model.VesselState {
+		return s.SpaceTime(req.Box.Rect(), from, to)
+	})))
+}
+
+func runLive(q qobs, srcs []Source, req Request, res *Result) {
+	encodeStates(req, res, livePicture(q, srcs, req.Box.Rect()))
+}
+
 // finishStates dedupes, orders, truncates and encodes a merged sample set.
 func finishStates(q qobs, req Request, res *Result, merged []model.VesselState) {
 	defer q.span("merge")()
-	merged = DedupeStates(merged)
-	res.Count = len(merged)
-	for _, s := range truncateStates(merged, req.Limit, res) {
+	encodeStates(req, res, DedupeStates(merged))
+}
+
+// encodeStates counts, truncates and encodes an ordered sample set.
+func encodeStates(req Request, res *Result, states []model.VesselState) {
+	res.Count = len(states)
+	for _, s := range truncateStates(states, req.Limit, res) {
 		res.States = append(res.States, StateOf(s))
 	}
 }
@@ -348,10 +304,10 @@ func flatten(lists [][]model.VesselState) []model.VesselState {
 	return out
 }
 
-// nearest merges per-source candidate lists: order every candidate by
+// runNearest merges per-source candidate lists: order every candidate by
 // distance to the reference point, keep the nearest sample per vessel,
 // take k.
-func nearest(q qobs, srcs []Source, req Request, res *Result) {
+func runNearest(q qobs, srcs []Source, req Request, res *Result) {
 	p := geo.Point{Lat: req.Lat, Lon: req.Lon}
 	cands := flatten(gather(q, srcs, func(s Source) []model.VesselState {
 		return s.Nearest(p, req.At, time.Duration(req.Tol), req.K)
@@ -395,10 +351,10 @@ func livePicture(q qobs, srcs []Source, r geo.Rect) []model.VesselState {
 	return out
 }
 
-// situation assembles the merged operational picture: the deduplicated
-// live states plus the merged alert board, aggregated exactly as
-// core.Pipeline.Situation aggregates a single pipeline's.
-func situation(q qobs, srcs []Source, req Request) *Situation {
+// runSituation assembles the merged operational picture: the
+// deduplicated live states plus the merged alert board, aggregated
+// exactly as core.Pipeline.Situation aggregates a single pipeline's.
+func runSituation(q qobs, srcs []Source, req Request, res *Result) {
 	bounds := req.Box.Rect()
 	// Like stats: the two fan-outs run concurrently so a hanging peer
 	// costs one timeout per situation, not two.
@@ -434,11 +390,12 @@ func situation(q qobs, srcs []Source, req Request) *Situation {
 			Where: a.Where, Severity: a.Severity, Note: a.Note,
 		})
 	}
-	return SituationOf(va.BuildSituation(at, bounds, vessels, alerts, req.Rows, req.Cols))
+	res.Situation = SituationOf(va.BuildSituation(at, bounds, vessels, alerts, req.Rows, req.Cols))
+	res.Count = len(res.Situation.Vessels)
 }
 
-// alertHistory merges, filters and time-orders the sources' alerts.
-func alertHistory(q qobs, srcs []Source, req Request, res *Result) {
+// runAlertHistory merges, filters and time-orders the sources' alerts.
+func runAlertHistory(q qobs, srcs []Source, req Request, res *Result) {
 	from, to := req.timeRange()
 	merged := mergedAlerts(q, srcs)
 	defer q.span("merge")()
@@ -483,102 +440,118 @@ func mergedAlerts(q qobs, srcs []Source) []events.Alert {
 	return out
 }
 
-// --- track intelligence fan-out (trackintel.go holds the types) -----------------
+// --- derived kinds (trackintel.go and anomaly.go hold the types) --------------
 
-// bestAnswer fans a per-vessel track-intelligence read out to every
-// source and keeps the best non-nil answer under the given ordering
-// (ties keep the earlier source, so merged answers are deterministic).
-func bestAnswer[T any](q qobs, srcs []Source, read func(Source) *T, better func(a, b *T) bool) *T {
-	answers := gather(q, srcs, read)
-	defer q.span("merge")()
-	var best *T
-	for _, a := range answers {
-		if a == nil {
-			continue
-		}
-		if best == nil || better(a, best) {
-			best = a
-		}
+// Answerer is the optional Source extension for the derived kinds —
+// track, predict, quality and anomalies, whose answers are computed from
+// a vessel's history rather than read out of it. A source that keeps
+// that state (the live source, through its lanes) or can fetch it whole
+// (a federation peer, in one exchange) answers directly; ok=false
+// declines, and the engine replays the source's stored history through
+// the same derivation instead, as it does for every source without the
+// method. An ok answer is a non-nil Result the engine takes as
+// authoritative even when its Payload is empty (an unknown vessel, a
+// degraded peer), so a dead peer is never replayed.
+type Answerer interface {
+	Answer(req Request) (*Result, bool)
+}
+
+// derived builds the run step of a derived kind from its replay (one
+// source's answer from its stored history) and its merge (overlapping
+// sources' answers folded into res).
+func derived(replay func(Source, Request) Payload, merge func([]Payload, Request, *Result)) func(qobs, []Source, Request, *Result) {
+	return func(q qobs, srcs []Source, req Request, res *Result) {
+		answers := gather(q, srcs, func(s Source) Payload {
+			if a, ok := s.(Answerer); ok {
+				if r, ok := a.Answer(req); ok {
+					return r.Payload
+				}
+			}
+			return replay(s, req)
+		})
+		defer q.span("merge")()
+		merge(answers, req, res)
 	}
-	return best
 }
 
 // fullHistory reads a source's entire stored trajectory for one vessel
-// (the track-intelligence kinds always score the whole known history).
+// (the derived kinds always score the whole known history).
 func fullHistory(s Source, mmsi uint32) []model.VesselState {
 	return s.Trajectory(mmsi, time.Time{}, time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC))
 }
 
-// trackFrom answers one source: live fused state when the source
-// maintains one (TrackIntelSource — its answer is authoritative, nil
-// included), a deterministic replay of its stored trajectory otherwise.
-func trackFrom(s Source, mmsi uint32) *TrackState {
-	if ti, ok := s.(TrackIntelSource); ok {
-		ts, _ := ti.Track(mmsi)
-		return ts
-	}
-	return DeriveTrack(mmsi, fullHistory(s, mmsi))
+func replayTrack(s Source, req Request) Payload {
+	return Payload{Track: DeriveTrack(req.MMSI, fullHistory(s, req.MMSI))}
 }
 
-func predictFrom(s Source, mmsi uint32, horizon time.Duration) *Prediction {
-	if ti, ok := s.(TrackIntelSource); ok {
-		p, _ := ti.Predict(mmsi, horizon)
-		return p
-	}
-	return DerivePredict(mmsi, fullHistory(s, mmsi), horizon)
+func replayPredict(s Source, req Request) Payload {
+	return Payload{Prediction: DerivePredict(req.MMSI, fullHistory(s, req.MMSI), time.Duration(req.Horizon))}
 }
 
-func qualityFrom(s Source, mmsi uint32) *QualityScore {
-	if ti, ok := s.(TrackIntelSource); ok {
-		qs, _ := ti.Quality(mmsi)
-		return qs
-	}
-	return DeriveQuality(mmsi, fullHistory(s, mmsi))
+func replayQuality(s Source, req Request) Payload {
+	return Payload{Quality: DeriveQuality(req.MMSI, fullHistory(s, req.MMSI))}
 }
 
-// --- anomaly fan-out (anomaly.go holds the types) --------------------------------
-
-// vesselAnomalyFrom answers one source: the live behavior profile when
-// the source maintains one (AnomalySource — authoritative, nil
-// included), a deterministic replay of its stored trajectory otherwise.
-func vesselAnomalyFrom(s Source, mmsi uint32) *VesselAnomaly {
-	if as, ok := s.(AnomalySource); ok {
-		va, _ := as.VesselAnomaly(mmsi)
-		return va
+func replayAnomalies(s Source, req Request) Payload {
+	if req.MMSI == 0 {
+		return Payload{Anomalies: &AnomalyReport{Ranked: DeriveRankedAnomalies(s, req.Limit)}}
 	}
-	return DeriveAnomalies(mmsi, fullHistory(s, mmsi))
+	if va := DeriveAnomalies(req.MMSI, fullHistory(s, req.MMSI)); va != nil {
+		return Payload{Anomalies: &AnomalyReport{Vessel: va}}
+	}
+	return Payload{}
 }
 
-// betterVesselAnomaly prefers the fresher (then deeper) answer when
-// sources overlap.
-func betterVesselAnomaly(a, b *VesselAnomaly) bool {
-	if !a.At.Equal(b.At) {
-		return a.At.After(b.At)
-	}
-	return a.Samples > b.Samples
+// fresher orders overlapping sources' answers about one vessel: the
+// later instant wins, then the deeper history.
+func fresher(at time.Time, depth int, thanAt time.Time, thanDepth int) bool {
+	return at.After(thanAt) || at.Equal(thanAt) && depth > thanDepth
 }
 
-// rankedAnomaliesFrom answers one source's fleet ranking: the live
-// stage's when it maintains one, a replay over the source's distinct
-// vessels otherwise. A degraded AnomalySource (ok=false) contributes
-// nothing, like every other degraded peer read.
-func rankedAnomaliesFrom(s Source, limit int) []VesselAnomaly {
-	if as, ok := s.(AnomalySource); ok {
-		ranked, _ := as.RankedAnomalies(limit)
-		return ranked
+// freshness is the per-vessel answer's (instant, depth) for fresher;
+// ok=false marks a payload without a per-vessel answer.
+func (p Payload) freshness() (at time.Time, depth int, ok bool) {
+	switch {
+	case p.Track != nil:
+		return p.Track.At, 0, true
+	case p.Prediction != nil:
+		return p.Prediction.From, 0, true
+	case p.Quality != nil:
+		return time.Time{}, p.Quality.Checked, true
+	case p.Anomalies != nil && p.Anomalies.Vessel != nil:
+		return p.Anomalies.Vessel.At, p.Anomalies.Vessel.Samples, true
 	}
-	return DeriveRankedAnomalies(s, limit)
+	return time.Time{}, 0, false
 }
 
-// mergeRankedAnomalies merges per-source rankings: one entry per vessel
-// (the fresher answer wins, earlier source on ties), re-sorted by score
-// and truncated to limit.
-func mergeRankedAnomalies(q qobs, lists [][]VesselAnomaly, limit int, res *Result) []VesselAnomaly {
-	defer q.span("merge")()
+// mergeFreshest keeps the freshest per-vessel answer (the earlier source
+// on ties, so merged answers are deterministic).
+func mergeFreshest(answers []Payload, _ Request, res *Result) {
+	var bestAt time.Time
+	bestDepth := 0
+	for _, p := range answers {
+		at, depth, ok := p.freshness()
+		if ok && (res.Count == 0 || fresher(at, depth, bestAt, bestDepth)) {
+			res.Payload, res.Count, bestAt, bestDepth = p, 1, at, depth
+		}
+	}
+}
+
+// mergeAnomalies merges the per-vessel form like every per-vessel kind,
+// and the ranked form one entry per vessel (the fresher answer wins,
+// earlier source on ties), re-sorted by score and truncated to limit.
+func mergeAnomalies(answers []Payload, req Request, res *Result) {
+	if req.MMSI != 0 {
+		mergeFreshest(answers, req, res)
+		return
+	}
 	best := make(map[uint32]VesselAnomaly)
-	for _, l := range lists {
-		for _, va := range l {
-			if prev, ok := best[va.MMSI]; !ok || betterVesselAnomaly(&va, &prev) {
+	for _, p := range answers {
+		if p.Anomalies == nil {
+			continue
+		}
+		for _, va := range p.Anomalies.Ranked {
+			if prev, ok := best[va.MMSI]; !ok || fresher(va.At, va.Samples, prev.At, prev.Samples) {
 				best[va.MMSI] = va
 			}
 		}
@@ -588,14 +561,15 @@ func mergeRankedAnomalies(q qobs, lists [][]VesselAnomaly, limit int, res *Resul
 		out = append(out, va)
 	}
 	SortRankedAnomalies(out)
-	if limit > 0 && len(out) > limit {
+	if req.Limit > 0 && len(out) > req.Limit {
 		res.Truncated = true
-		out = out[:limit]
+		out = out[:req.Limit]
 	}
-	return out
+	res.Anomalies = &AnomalyReport{Ranked: out}
+	res.Count = len(out)
 }
 
-// stats aggregates per-source statistics. Vessels and Live are distinct
+// runStats aggregates per-source statistics. Vessels and Live are distinct
 // counts and therefore computed from merged per-source identifier sets,
 // not summed — DistinctMMSI moves one sorted uint32 list per source, so
 // a stats poll against an N-vessel federation peer costs O(N) integers
@@ -603,8 +577,9 @@ func mergeRankedAnomalies(q qobs, lists [][]VesselAnomaly, limit int, res *Resul
 // fetch. Exactness of the headline counts is unchanged (and stays
 // test-pinned): every shipped source reports exactly the vessels its
 // worldwide Live read would.
-func stats(q qobs, srcs []Source, withSets bool) *Stats {
+func runStats(q qobs, srcs []Source, req Request, res *Result) {
 	st := &Stats{}
+	withSets := req.MMSIs
 	// One combined fan-out: a source implementing StatsWithMMSI (peers
 	// do) answers both reads in one exchange, everything else pays two
 	// cheap local calls — and a hanging peer still costs one timeout per
@@ -643,7 +618,7 @@ func stats(q qobs, srcs []Source, withSets bool) *Stats {
 		}
 		sort.Slice(st.MMSIs, func(i, j int) bool { return st.MMSIs[i] < st.MMSIs[j] })
 	}
-	return st
+	res.Stats, res.Count = st, st.Points
 }
 
 // --- live source (core.Sharded fan-out) -----------------------------------------
@@ -652,40 +627,37 @@ func stats(q qobs, srcs []Source, withSets bool) *Stats {
 // reads route to the owning shard, set reads fan out across every
 // shard's consistent view and merge.
 type liveSource struct {
-	sharded   *core.Sharded
-	snaps     []*snapshotCache
-	tracks    TrackIntelSource // nil without an online track stage
-	anomalies AnomalySource    // nil without an online anomaly stage
+	sharded *core.Sharded
+	snaps   []*snapshotCache
+	lanes   []Answerer
 }
 
 // NewLiveSource builds a Source over the sharded pipelines (the
 // in-process live picture plus each shard's in-memory archive). Nearest
 // queries build per-shard spatial snapshots, cached until the shard's
-// archive grows.
-func NewLiveSource(s *core.Sharded) Source {
-	return NewLiveSourceIntel(s, nil, nil)
-}
-
-// NewLiveSourceTracked builds the live Source with an online track
-// stage behind it: the track-intelligence reads answer from the stage's
-// fused state where it knows the vessel, and fall back to a
-// deterministic store replay where it does not (stage disabled, or
-// history preloaded before the stage started observing the feed).
-func NewLiveSourceTracked(s *core.Sharded, tracks TrackIntelSource) Source {
-	return NewLiveSourceIntel(s, tracks, nil)
-}
-
-// NewLiveSourceIntel builds the live Source with both online inference
-// stages behind it — track intelligence and behavior anomalies — each
-// individually optional under the same contract: answer from the stage
-// where it knows the vessel, fall back to a deterministic store replay
-// where it does not.
-func NewLiveSourceIntel(s *core.Sharded, tracks TrackIntelSource, anomalies AnomalySource) Source {
-	src := &liveSource{sharded: s, tracks: tracks, anomalies: anomalies}
+// archive grows. lanes are the online per-vessel stage sets behind the
+// shards (the ingest tee's track and anomaly stages): the derived kinds
+// answer from the first lane that knows the vessel, and from a replay
+// of the owning shard's store where none does (lane disabled, or
+// history preloaded before the lane started observing the feed).
+func NewLiveSource(s *core.Sharded, lanes ...Answerer) Source {
+	src := &liveSource{sharded: s, lanes: lanes}
 	for _, p := range s.Shards {
 		src.snaps = append(src.snaps, &snapshotCache{store: p.Store})
 	}
 	return src
+}
+
+// Answer implements Answerer by asking the lanes; it declines when none
+// knows the answer, so the engine replays the shard store (which pages
+// back evicted history, keeping the replay exact under tiering).
+func (l *liveSource) Answer(req Request) (*Result, bool) {
+	for _, lane := range l.lanes {
+		if res, ok := lane.Answer(req); ok {
+			return res, true
+		}
+	}
+	return nil, false
 }
 
 func (l *liveSource) Name() string { return "live" }
@@ -752,64 +724,6 @@ func (l *liveSource) Stats() SourceStats {
 	}
 	st.Alerts = len(l.sharded.Alerts())
 	return st
-}
-
-// Track implements TrackIntelSource: the online stage's fused state,
-// else a replay of the owning shard's store (which pages back evicted
-// history, so tiering keeps these reads exact).
-func (l *liveSource) Track(mmsi uint32) (*TrackState, bool) {
-	if l.tracks != nil {
-		if ts, ok := l.tracks.Track(mmsi); ok {
-			return ts, true
-		}
-	}
-	ts := DeriveTrack(mmsi, fullHistory(l, mmsi))
-	return ts, ts != nil
-}
-
-// Predict implements TrackIntelSource.
-func (l *liveSource) Predict(mmsi uint32, horizon time.Duration) (*Prediction, bool) {
-	if l.tracks != nil {
-		if p, ok := l.tracks.Predict(mmsi, horizon); ok {
-			return p, true
-		}
-	}
-	p := DerivePredict(mmsi, fullHistory(l, mmsi), horizon)
-	return p, p != nil
-}
-
-// Quality implements TrackIntelSource.
-func (l *liveSource) Quality(mmsi uint32) (*QualityScore, bool) {
-	if l.tracks != nil {
-		if qs, ok := l.tracks.Quality(mmsi); ok {
-			return qs, true
-		}
-	}
-	qs := DeriveQuality(mmsi, fullHistory(l, mmsi))
-	return qs, qs != nil
-}
-
-// VesselAnomaly implements AnomalySource: the online stage's profile,
-// else a replay of the owning shard's store (which pages back evicted
-// history, so tiering keeps the read exact).
-func (l *liveSource) VesselAnomaly(mmsi uint32) (*VesselAnomaly, bool) {
-	if l.anomalies != nil {
-		if va, ok := l.anomalies.VesselAnomaly(mmsi); ok {
-			return va, true
-		}
-	}
-	va := DeriveAnomalies(mmsi, fullHistory(l, mmsi))
-	return va, va != nil
-}
-
-// RankedAnomalies implements AnomalySource. With a stage attached the
-// ranking covers the vessels the stage has observed; without one it is
-// derived from the live picture's distinct vessels.
-func (l *liveSource) RankedAnomalies(limit int) ([]VesselAnomaly, bool) {
-	if l.anomalies != nil {
-		return l.anomalies.RankedAnomalies(limit)
-	}
-	return DeriveRankedAnomalies(l, limit), true
 }
 
 func (l *liveSource) DistinctMMSI() []uint32 {

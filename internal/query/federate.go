@@ -174,44 +174,36 @@ func (v peerView) stitch(start, dur time.Duration, res *Result, err error) {
 	}
 }
 
-// Trajectory implements Source.
-func (v peerView) Trajectory(mmsi uint32, from, to time.Time) []model.VesselState {
-	res, err := v.peerQuery(Request{Kind: KindTrajectory, MMSI: mmsi, From: from, To: to})
+// states runs one federated state read; a degraded peer contributes
+// nothing.
+func (v peerView) states(req Request) []model.VesselState {
+	res, err := v.peerQuery(req)
 	if err != nil {
 		return nil
 	}
 	return res.ModelStates()
+}
+
+// Trajectory implements Source.
+func (v peerView) Trajectory(mmsi uint32, from, to time.Time) []model.VesselState {
+	return v.states(Request{Kind: KindTrajectory, MMSI: mmsi, From: from, To: to})
 }
 
 // SpaceTime implements Source.
 func (v peerView) SpaceTime(r geo.Rect, from, to time.Time) []model.VesselState {
 	b := BoxOf(r)
-	res, err := v.peerQuery(Request{Kind: KindSpaceTime, Box: &b, From: from, To: to})
-	if err != nil {
-		return nil
-	}
-	return res.ModelStates()
+	return v.states(Request{Kind: KindSpaceTime, Box: &b, From: from, To: to})
 }
 
 // Nearest implements Source.
 func (v peerView) Nearest(p geo.Point, at time.Time, tol time.Duration, k int) []model.VesselState {
-	res, err := v.peerQuery(Request{
-		Kind: KindNearest, Lat: p.Lat, Lon: p.Lon, At: at, Tol: Duration(tol), K: k,
-	})
-	if err != nil {
-		return nil
-	}
-	return res.ModelStates()
+	return v.states(Request{Kind: KindNearest, Lat: p.Lat, Lon: p.Lon, At: at, Tol: Duration(tol), K: k})
 }
 
 // Live implements Source.
 func (v peerView) Live(r geo.Rect) []model.VesselState {
 	b := BoxOf(r)
-	res, err := v.peerQuery(Request{Kind: KindLivePicture, Box: &b})
-	if err != nil {
-		return nil
-	}
-	return res.ModelStates()
+	return v.states(Request{Kind: KindLivePicture, Box: &b})
 }
 
 // Alerts implements Source.
@@ -230,69 +222,21 @@ func (v peerView) Alerts() []events.Alert {
 // Stats implements Source: the peer's aggregate holdings under this
 // peer's name, with the degradation (if any) in Err.
 func (v peerView) Stats() SourceStats {
-	res, err := v.peerQuery(Request{Kind: KindStats})
+	ss, _ := v.stats(false)
+	return ss
+}
+
+// Answer implements Answerer: the peer computes (or reads) a derived
+// kind server-side, so a federated answer costs one exchange, not a
+// trajectory fetch plus a local replay. A degraded peer answers empty
+// rather than declining — the engine would otherwise replay it, paying
+// a second timeout for nothing.
+func (v peerView) Answer(req Request) (*Result, bool) {
+	res, err := v.peerQuery(req)
 	if err != nil {
-		return SourceStats{Name: v.Name(), Err: err.Error()}
+		return &Result{Kind: req.Kind}, true
 	}
-	if res.Stats == nil {
-		// A nonconforming peer (version skew, interposed proxy) must
-		// degrade like any other failure, not panic the daemon.
-		return SourceStats{Name: v.Name(), Err: "peer answered without stats"}
-	}
-	st := res.Stats
-	return SourceStats{
-		Name: v.Name(), Points: st.Points, Vessels: st.Vessels,
-		Live: st.Live, Alerts: st.Alerts,
-	}
-}
-
-// Track implements TrackIntelSource: the peer computes (or reads) the
-// fused state server-side, so a federated track answer costs one
-// exchange, not a trajectory fetch plus a local replay.
-func (v peerView) Track(mmsi uint32) (*TrackState, bool) {
-	res, err := v.peerQuery(Request{Kind: KindTrack, MMSI: mmsi})
-	if err != nil || res.Track == nil {
-		return nil, false
-	}
-	return res.Track, true
-}
-
-// Predict implements TrackIntelSource.
-func (v peerView) Predict(mmsi uint32, horizon time.Duration) (*Prediction, bool) {
-	res, err := v.peerQuery(Request{Kind: KindPredict, MMSI: mmsi, Horizon: Duration(horizon)})
-	if err != nil || res.Prediction == nil {
-		return nil, false
-	}
-	return res.Prediction, true
-}
-
-// Quality implements TrackIntelSource.
-func (v peerView) Quality(mmsi uint32) (*QualityScore, bool) {
-	res, err := v.peerQuery(Request{Kind: KindQuality, MMSI: mmsi})
-	if err != nil || res.Quality == nil {
-		return nil, false
-	}
-	return res.Quality, true
-}
-
-// VesselAnomaly implements AnomalySource: the peer folds (or reads) the
-// behavior profile server-side, one exchange per federated answer.
-func (v peerView) VesselAnomaly(mmsi uint32) (*VesselAnomaly, bool) {
-	res, err := v.peerQuery(Request{Kind: KindAnomalies, MMSI: mmsi})
-	if err != nil || res.Anomalies == nil || res.Anomalies.Vessel == nil {
-		return nil, false
-	}
-	return res.Anomalies.Vessel, true
-}
-
-// RankedAnomalies implements AnomalySource. A degraded peer answers
-// ok=false and contributes nothing, like every other federated read.
-func (v peerView) RankedAnomalies(limit int) ([]VesselAnomaly, bool) {
-	res, err := v.peerQuery(Request{Kind: KindAnomalies, Limit: limit})
-	if err != nil || res.Anomalies == nil {
-		return nil, false
-	}
-	return res.Anomalies.Ranked, true
+	return res, true
 }
 
 // DistinctMMSI implements Source: one stats read with the identifier
@@ -308,12 +252,18 @@ func (v peerView) DistinctMMSI() []uint32 {
 // StatsWithMMSI implements StatsSetSource: the engine's stats
 // aggregation costs this peer exactly one HTTP exchange, carrying both
 // the aggregate numbers and the distinct identifier set.
-func (v peerView) StatsWithMMSI() (SourceStats, []uint32) {
-	res, err := v.peerQuery(Request{Kind: KindStats, MMSIs: true})
+func (v peerView) StatsWithMMSI() (SourceStats, []uint32) { return v.stats(true) }
+
+// stats runs one federated stats read, with the identifier sets when
+// withSets.
+func (v peerView) stats(withSets bool) (SourceStats, []uint32) {
+	res, err := v.peerQuery(Request{Kind: KindStats, MMSIs: withSets})
 	if err != nil {
 		return SourceStats{Name: v.Name(), Err: err.Error()}, nil
 	}
 	if res.Stats == nil {
+		// A nonconforming peer (version skew, interposed proxy) must
+		// degrade like any other failure, not panic the daemon.
 		return SourceStats{Name: v.Name(), Err: "peer answered without stats"}, nil
 	}
 	st := res.Stats
@@ -349,26 +299,8 @@ func (c *Client) Alerts() []events.Alert { return peerView{c: c}.Alerts() }
 // Stats implements Source.
 func (c *Client) Stats() SourceStats { return peerView{c: c}.Stats() }
 
-// Track implements TrackIntelSource.
-func (c *Client) Track(mmsi uint32) (*TrackState, bool) { return peerView{c: c}.Track(mmsi) }
-
-// Predict implements TrackIntelSource.
-func (c *Client) Predict(mmsi uint32, horizon time.Duration) (*Prediction, bool) {
-	return peerView{c: c}.Predict(mmsi, horizon)
-}
-
-// Quality implements TrackIntelSource.
-func (c *Client) Quality(mmsi uint32) (*QualityScore, bool) { return peerView{c: c}.Quality(mmsi) }
-
-// VesselAnomaly implements AnomalySource.
-func (c *Client) VesselAnomaly(mmsi uint32) (*VesselAnomaly, bool) {
-	return peerView{c: c}.VesselAnomaly(mmsi)
-}
-
-// RankedAnomalies implements AnomalySource.
-func (c *Client) RankedAnomalies(limit int) ([]VesselAnomaly, bool) {
-	return peerView{c: c}.RankedAnomalies(limit)
-}
+// Answer implements Answerer.
+func (c *Client) Answer(req Request) (*Result, bool) { return peerView{c: c}.Answer(req) }
 
 // DistinctMMSI implements Source.
 func (c *Client) DistinctMMSI() []uint32 { return peerView{c: c}.DistinctMMSI() }

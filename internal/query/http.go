@@ -74,17 +74,10 @@ func NewServer(exec Executor) *Server {
 	s.sub, _ = exec.(Subscriber)
 	s.mux.HandleFunc("/v1/query", s.handlePost)
 	s.mux.HandleFunc("/v1/stream", s.handleStream)
-	s.mux.HandleFunc("/v1/trajectory", s.handleGet(parseTrajectory))
-	s.mux.HandleFunc("/v1/spacetime", s.handleGet(parseSpaceTime))
-	s.mux.HandleFunc("/v1/nearest", s.handleGet(parseNearest))
-	s.mux.HandleFunc("/v1/live", s.handleGet(parseLive))
-	s.mux.HandleFunc("/v1/situation", s.handleGet(parseSituation))
-	s.mux.HandleFunc("/v1/alerts", s.handleGet(parseAlerts))
-	s.mux.HandleFunc("/v1/stats", s.handleGet(parseStats))
-	s.mux.HandleFunc("/v1/track", s.handleGet(parseTrack))
-	s.mux.HandleFunc("/v1/predict", s.handleGet(parsePredict))
-	s.mux.HandleFunc("/v1/quality", s.handleGet(parseQuality))
-	s.mux.HandleFunc("/v1/anomalies", s.handleGet(parseAnomalies))
+	for i := range kindTable {
+		spec := &kindTable[i]
+		s.mux.HandleFunc("/v1/"+string(spec.kind), s.handleGet(spec))
+	}
 	return s
 }
 
@@ -217,18 +210,21 @@ func (s *Server) handlePost(w http.ResponseWriter, r *http.Request) {
 	s.run(w, r, req)
 }
 
-// handleGet adapts a per-kind query-string parser into a handler.
-func (s *Server) handleGet(parse func(qs urlValues) (Request, error)) http.HandlerFunc {
+// handleGet serves a kind's GET route: its table parameters parsed into
+// the same Request the POST route accepts.
+func (s *Server) handleGet(spec *kindSpec) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
 			return
 		}
 		u := urlValues{r.URL.Query()}
-		req, err := parse(u)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+		req := Request{Kind: spec.kind}
+		for _, p := range spec.params {
+			if err := getParams[p](u, p, &req); err != nil {
+				writeError(w, http.StatusBadRequest, err)
+				return
+			}
 		}
 		if b, _ := strconv.ParseBool(u.str("trace")); b {
 			req.Trace = true
@@ -364,144 +360,42 @@ func (u urlValues) boxAt(key string) (*Box, error) {
 	return &b, nil
 }
 
-// timeBounds parses the shared from/to pair.
-func (u urlValues) timeBounds(req *Request) error {
-	var err error
-	if req.From, err = u.timeAt("from"); err != nil {
-		return err
-	}
-	req.To, err = u.timeAt("to")
-	return err
-}
-
-func parseTrajectory(u urlValues) (Request, error) {
-	req := Request{Kind: KindTrajectory}
-	var err error
-	if req.MMSI, err = u.uint32At("mmsi"); err != nil {
-		return req, err
-	}
-	if err := u.timeBounds(&req); err != nil {
-		return req, err
-	}
-	req.Limit, err = u.intAt("limit")
-	return req, err
-}
-
-func parseSpaceTime(u urlValues) (Request, error) {
-	req := Request{Kind: KindSpaceTime}
-	var err error
-	if req.Box, err = u.boxAt("box"); err != nil {
-		return req, err
-	}
-	if err := u.timeBounds(&req); err != nil {
-		return req, err
-	}
-	req.Limit, err = u.intAt("limit")
-	return req, err
-}
-
-func parseNearest(u urlValues) (Request, error) {
-	req := Request{Kind: KindNearest}
-	s := u.str("point")
+func (u urlValues) durationAt(key string) (Duration, error) {
+	s := u.str(key)
 	if s == "" {
-		return req, fmt.Errorf("query: nearest requires point=lat,lon")
+		return 0, nil
 	}
-	p, err := ParsePoint(s)
+	d, err := time.ParseDuration(s)
 	if err != nil {
-		return req, err
+		return 0, fmt.Errorf("query: %s must be a duration (got %q)", key, s)
 	}
-	req.Lat, req.Lon = p.Lat, p.Lon
-	if req.At, err = u.timeAt("at"); err != nil {
-		return req, err
-	}
-	if s := u.str("tol"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			return req, fmt.Errorf("query: tol must be a duration (got %q)", s)
+	return Duration(d), nil
+}
+
+// getParams parses each GET parameter a kind's params may name into its
+// Request field; an absent parameter leaves the field zero.
+var getParams = map[string]func(u urlValues, key string, r *Request) error{
+	"mmsi":     func(u urlValues, k string, r *Request) (err error) { r.MMSI, err = u.uint32At(k); return },
+	"from":     func(u urlValues, k string, r *Request) (err error) { r.From, err = u.timeAt(k); return },
+	"to":       func(u urlValues, k string, r *Request) (err error) { r.To, err = u.timeAt(k); return },
+	"at":       func(u urlValues, k string, r *Request) (err error) { r.At, err = u.timeAt(k); return },
+	"box":      func(u urlValues, k string, r *Request) (err error) { r.Box, err = u.boxAt(k); return },
+	"tol":      func(u urlValues, k string, r *Request) (err error) { r.Tol, err = u.durationAt(k); return },
+	"horizon":  func(u urlValues, k string, r *Request) (err error) { r.Horizon, err = u.durationAt(k); return },
+	"k":        func(u urlValues, k string, r *Request) (err error) { r.K, err = u.intAt(k); return },
+	"rows":     func(u urlValues, k string, r *Request) (err error) { r.Rows, err = u.intAt(k); return },
+	"cols":     func(u urlValues, k string, r *Request) (err error) { r.Cols, err = u.intAt(k); return },
+	"severity": func(u urlValues, k string, r *Request) (err error) { r.MinSeverity, err = u.intAt(k); return },
+	"limit":    func(u urlValues, k string, r *Request) (err error) { r.Limit, err = u.intAt(k); return },
+	// The reference point is required here: (0,0) is a valid point, so
+	// the typed form cannot tell an omitted one apart (checkNearest).
+	"point": func(u urlValues, k string, r *Request) error {
+		s := u.str(k)
+		if s == "" {
+			return fmt.Errorf("query: %s requires %s=lat,lon", r.Kind, k)
 		}
-		req.Tol = Duration(d)
-	}
-	req.K, err = u.intAt("k")
-	return req, err
-}
-
-func parseLive(u urlValues) (Request, error) {
-	req := Request{Kind: KindLivePicture}
-	var err error
-	if req.Box, err = u.boxAt("box"); err != nil {
-		return req, err
-	}
-	req.Limit, err = u.intAt("limit")
-	return req, err
-}
-
-func parseSituation(u urlValues) (Request, error) {
-	req := Request{Kind: KindSituation}
-	var err error
-	if req.Box, err = u.boxAt("box"); err != nil {
-		return req, err
-	}
-	if req.Rows, err = u.intAt("rows"); err != nil {
-		return req, err
-	}
-	if req.Cols, err = u.intAt("cols"); err != nil {
-		return req, err
-	}
-	req.MinSeverity, err = u.intAt("severity")
-	return req, err
-}
-
-func parseAlerts(u urlValues) (Request, error) {
-	req := Request{Kind: KindAlertHistory}
-	if err := u.timeBounds(&req); err != nil {
-		return req, err
-	}
-	var err error
-	if req.MinSeverity, err = u.intAt("severity"); err != nil {
-		return req, err
-	}
-	req.Limit, err = u.intAt("limit")
-	return req, err
-}
-
-func parseStats(urlValues) (Request, error) { return Request{Kind: KindStats}, nil }
-
-func parseTrack(u urlValues) (Request, error) {
-	req := Request{Kind: KindTrack}
-	var err error
-	req.MMSI, err = u.uint32At("mmsi")
-	return req, err
-}
-
-func parsePredict(u urlValues) (Request, error) {
-	req := Request{Kind: KindPredict}
-	var err error
-	if req.MMSI, err = u.uint32At("mmsi"); err != nil {
-		return req, err
-	}
-	if s := u.str("horizon"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			return req, fmt.Errorf("query: horizon must be a duration (got %q)", s)
-		}
-		req.Horizon = Duration(d)
-	}
-	return req, nil
-}
-
-func parseQuality(u urlValues) (Request, error) {
-	req := Request{Kind: KindQuality}
-	var err error
-	req.MMSI, err = u.uint32At("mmsi")
-	return req, err
-}
-
-func parseAnomalies(u urlValues) (Request, error) {
-	req := Request{Kind: KindAnomalies}
-	var err error
-	if req.MMSI, err = u.uint32At("mmsi"); err != nil {
-		return req, err
-	}
-	req.Limit, err = u.intAt("limit")
-	return req, err
+		p, err := ParsePoint(s)
+		r.Lat, r.Lon = p.Lat, p.Lon
+		return err
+	},
 }

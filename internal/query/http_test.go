@@ -90,6 +90,8 @@ func TestHTTPGetRoutesMatchPost(t *testing.T) {
 		{"/v1/predict?mmsi=201000003&horizon=15m",
 			Request{Kind: KindPredict, MMSI: 201000003, Horizon: Duration(15 * time.Minute)}},
 		{"/v1/quality?mmsi=201000003", Request{Kind: KindQuality, MMSI: 201000003}},
+		{"/v1/anomalies?mmsi=201000003", Request{Kind: KindAnomalies, MMSI: 201000003}},
+		{"/v1/anomalies?limit=3", Request{Kind: KindAnomalies, Limit: 3}},
 	}
 	for _, c := range cases {
 		t.Run(c.url, func(t *testing.T) {

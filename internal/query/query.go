@@ -99,9 +99,11 @@ const (
 
 // Kinds lists every request kind (stable order, used by CLIs and docs).
 func Kinds() []Kind {
-	return []Kind{KindTrajectory, KindSpaceTime, KindNearest,
-		KindLivePicture, KindSituation, KindAlertHistory, KindStats,
-		KindTrack, KindPredict, KindQuality, KindAnomalies}
+	out := make([]Kind, len(kindTable))
+	for i := range kindTable {
+		out[i] = kindTable[i].kind
+	}
+	return out
 }
 
 // Duration is a time.Duration with a human-readable JSON encoding: it
@@ -274,102 +276,6 @@ type Request struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// normalize fills kind-specific defaults; called after Validate.
-func (r Request) normalize() Request {
-	if r.Kind == KindNearest {
-		if r.K <= 0 {
-			r.K = 5
-		}
-		if r.Tol <= 0 {
-			if r.At.IsZero() {
-				// No reference instant: time-agnostic nearest (any
-				// sample qualifies; time.Time.Sub saturates, so the
-				// max-duration tolerance admits every dt).
-				r.Tol = Duration(1<<63 - 1)
-			} else {
-				r.Tol = Duration(30 * time.Minute)
-			}
-		}
-	}
-	if r.Kind == KindSituation {
-		if r.Rows <= 0 {
-			r.Rows = 12
-		}
-		if r.Cols <= 0 {
-			r.Cols = 48
-		}
-	}
-	if r.Kind == KindAnomalies && r.MMSI == 0 && r.Limit <= 0 {
-		r.Limit = DefaultAnomalyLimit
-	}
-	return r
-}
-
-// Validate checks that the request names a known kind and carries the
-// fields that kind requires, with every bound in range.
-func (r Request) Validate() error {
-	switch r.Kind {
-	case KindTrajectory:
-		if r.MMSI == 0 {
-			return fmt.Errorf("query: trajectory requires mmsi")
-		}
-	case KindSpaceTime:
-		if r.Box == nil {
-			return fmt.Errorf("query: spacetime requires box")
-		}
-	case KindNearest:
-		// (0,0) is a legitimate reference point (Gulf of Guinea), so an
-		// omitted point is indistinguishable from it here; the HTTP GET
-		// route and the CLI require the point parameter explicitly.
-		if r.Lat < -90 || r.Lat > 90 || r.Lon < -180 || r.Lon > 180 {
-			return fmt.Errorf("query: nearest point out of range: %g,%g", r.Lat, r.Lon)
-		}
-		if r.K < 0 {
-			return fmt.Errorf("query: nearest k must be positive, got %d", r.K)
-		}
-	case KindLivePicture, KindSituation:
-		if r.Box == nil {
-			return fmt.Errorf("query: %s requires box", r.Kind)
-		}
-	case KindAlertHistory, KindStats:
-		// No required fields.
-	case KindAnomalies:
-		// MMSI is optional: set, the per-vessel report; unset, the
-		// fleet-ranked form.
-	case KindTrack, KindQuality:
-		if r.MMSI == 0 {
-			return fmt.Errorf("query: %s requires mmsi", r.Kind)
-		}
-	case KindPredict:
-		if r.MMSI == 0 {
-			return fmt.Errorf("query: predict requires mmsi")
-		}
-		if r.Horizon <= 0 {
-			return fmt.Errorf("query: predict requires a positive horizon")
-		}
-		if time.Duration(r.Horizon) > MaxPredictHorizon {
-			return fmt.Errorf("query: predict horizon %s exceeds %s",
-				time.Duration(r.Horizon), MaxPredictHorizon)
-		}
-	case "":
-		return fmt.Errorf("query: missing kind (one of %v)", Kinds())
-	default:
-		return fmt.Errorf("query: unknown kind %q (one of %v)", r.Kind, Kinds())
-	}
-	if r.Box != nil {
-		if err := r.Box.Validate(); err != nil {
-			return err
-		}
-	}
-	if !r.From.IsZero() && !r.To.IsZero() && r.To.Before(r.From) {
-		return fmt.Errorf("query: to %s precedes from %s", r.To.Format(time.RFC3339), r.From.Format(time.RFC3339))
-	}
-	if r.Limit < 0 {
-		return fmt.Errorf("query: negative limit %d", r.Limit)
-	}
-	return nil
-}
-
 // timeRange returns the effective [from, to] with zero values widened to
 // unbounded (the zero time is before every sample; year 9999 is after).
 func (r Request) timeRange() (time.Time, time.Time) {
@@ -520,10 +426,22 @@ type Result struct {
 	// Truncated reports that Limit cut the answer short.
 	Truncated bool `json:"truncated,omitempty"`
 
-	States    []State    `json:"states,omitempty"`
-	Alerts    []Alert    `json:"alerts,omitempty"`
+	States []State `json:"states,omitempty"`
+	Alerts []Alert `json:"alerts,omitempty"`
+	Stats  *Stats  `json:"stats,omitempty"`
+	Payload
+
+	// Trace is the per-stage breakdown, present when the request set
+	// Trace: true. Spans are sorted by (start, name); "total" is last.
+	Trace []TraceSpan `json:"trace,omitempty"`
+}
+
+// Payload is the answer of the kinds that stream as tickers: at most
+// the one field of the request's kind is set. A Result carries it
+// inline, and a ticker Update pushes the same Payload its one-shot twin
+// returns.
+type Payload struct {
 	Situation *Situation `json:"situation,omitempty"`
-	Stats     *Stats     `json:"stats,omitempty"`
 
 	// Track intelligence payloads (trackintel.go), one per kind.
 	Track      *TrackState   `json:"track,omitempty"`
@@ -532,14 +450,10 @@ type Result struct {
 
 	// Anomalies is the behavioral-deviation payload (anomaly.go).
 	Anomalies *AnomalyReport `json:"anomalies,omitempty"`
-
-	// Trace is the per-stage breakdown, present when the request set
-	// Trace: true. Spans are sorted by (start, name); "total" is last.
-	Trace []TraceSpan `json:"trace,omitempty"`
 }
 
 // TraceSpan is one named stage of a traced request as it appears on the
-/// wire: offset from request start and duration, both in nanoseconds.
+// wire: offset from request start and duration, both in nanoseconds.
 // Parent names the span this one nests under ("" = root) — federated
 // traces use it to hang a peer's stages below its peer/<addr> span.
 type TraceSpan struct {

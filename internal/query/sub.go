@@ -25,33 +25,18 @@ import (
 // serve (the periodic situation ticker). The HTTP form is /v1/stream
 // (stream_http.go); Client.Subscribe is the remote peer (client.go).
 
-// UpdateKind discriminates the payload of a pushed Update.
+// UpdateKind discriminates the payload of a pushed Update: a hub
+// publication (state, alert), stream bookkeeping (heartbeat, error,
+// rewound), or — on a ticker subscription — the subscribed request's
+// Kind, whose recomputed answer rides in Update.Payload.
 type UpdateKind string
 
-// The update kinds a subscription delivers.
+// The update kinds a subscription delivers besides ticks.
 const (
 	// UpdateState carries one newly archived vessel state.
 	UpdateState UpdateKind = "state"
 	// UpdateAlert carries one newly recognised alert.
 	UpdateAlert UpdateKind = "alert"
-	// UpdateSituation carries a periodically assembled situation picture
-	// (KindSituation subscriptions only).
-	UpdateSituation UpdateKind = "situation"
-	// UpdateTrack carries a periodically re-read fused track state
-	// (KindTrack subscriptions only).
-	UpdateTrack UpdateKind = "track"
-	// UpdatePredict carries a periodically recomputed position forecast
-	// (KindPredict subscriptions only) — between AIS reports the envelope
-	// grows and the position dead-reckons forward.
-	UpdatePredict UpdateKind = "predict"
-	// UpdateQuality carries a periodically re-read integrity score
-	// (KindQuality subscriptions only).
-	UpdateQuality UpdateKind = "quality"
-	// UpdateAnomalies carries a periodically recomputed deviation report
-	// (KindAnomalies subscriptions only) — per-vessel with MMSI set, the
-	// fleet ranking otherwise, so a client watches "vessels deviating
-	// from their own history" as a standing query.
-	UpdateAnomalies UpdateKind = "anomalies"
 	// UpdateHeartbeat is a keep-alive: no payload, but Seq acknowledges
 	// the subscriber's position and Dropped surfaces queue overflow. The
 	// HTTP stream emits them; in-process subscriptions do not need them.
@@ -73,8 +58,8 @@ const (
 // Update is one pushed increment of a standing query. Seq is the hub's
 // global publication sequence — strictly increasing across every update a
 // subscription delivers, so "resume from the last Seq I saw" is always
-// well defined. (Situation tickers are the exception: their pictures are
-// recomputed, not replayed, so Seq counts that subscription's ticks.)
+// well defined. (Ticker subscriptions are the exception: their answers
+// are recomputed, not replayed, so Seq counts that subscription's ticks.)
 //
 // Sequences are per daemon epoch: a daemon restart (or a reconnect
 // routed to a different daemon) starts a new sequence space under a new
@@ -85,17 +70,11 @@ type Update struct {
 	Seq  uint64     `json:"seq"`
 	Kind UpdateKind `json:"kind"`
 
-	State     *State     `json:"state,omitempty"`
-	Alert     *Alert     `json:"alert,omitempty"`
-	Situation *Situation `json:"situation,omitempty"`
-
-	// Ticker payloads of the track-intelligence kinds.
-	Track      *TrackState   `json:"track,omitempty"`
-	Prediction *Prediction   `json:"prediction,omitempty"`
-	Quality    *QualityScore `json:"quality,omitempty"`
-
-	// Anomalies is the ticker payload of KindAnomalies subscriptions.
-	Anomalies *AnomalyReport `json:"anomalies,omitempty"`
+	State *State `json:"state,omitempty"`
+	Alert *Alert `json:"alert,omitempty"`
+	// Payload is a tick: the same answer a one-shot Query of the
+	// standing request returns, recomputed.
+	Payload
 
 	// Dropped (heartbeats only) is the number of updates this
 	// subscription has lost to queue overflow so far.
@@ -132,8 +111,8 @@ type SubOptions struct {
 	// 15s, minimum 100ms). In-process subscriptions ignore it.
 	Heartbeat time.Duration
 	// Tick is the recompute cadence of the ticker kinds — situation,
-	// track, predict, quality — (default 2s, minimum 10ms). Other kinds
-	// ignore it.
+	// track, predict, quality, anomalies — (default 2s, minimum 10ms).
+	// Other kinds ignore it.
 	Tick time.Duration
 }
 
@@ -452,20 +431,22 @@ func (h *Hub) Instrument(reg *obs.Registry) {
 	})
 }
 
-// Subscribe turns req into a standing query against the hub. Supported
-// kinds: trajectory (follow one vessel), spacetime (watch a box, time
-// bounds honoured), live (watch a box, no time bounds) and alerts
-// (severity- and time-filtered feed). Situation tickers need an executor
-// — subscribe through a Streamer (or the ingest engine) for those.
+// Subscribe turns req into a standing query against the hub: the kinds
+// with a hub filter (trajectory follows one vessel, spacetime and live
+// watch a box, alerts is the filtered alert feed). Ticker kinds need an
+// executor — subscribe through a Streamer (or the ingest engine).
 func (h *Hub) Subscribe(req Request, opt SubOptions) (*Subscription, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
 	req = req.normalize()
-	filter, err := filterFor(req)
-	if err != nil {
-		return nil, err
+	spec := kindIndex[req.Kind]
+	if spec.filter == nil {
+		return nil, fmt.Errorf("query: kind %q is not streamable (one of %v, or %v via a Streamer)", req.Kind,
+			kindsWhere(func(k *kindSpec) bool { return k.filter != nil }),
+			kindsWhere(func(k *kindSpec) bool { return k.ticker }))
 	}
+	filter := spec.filter(req)
 	buf := opt.Buffer
 	if buf < 1 {
 		buf = h.cfg.Buffer
@@ -518,61 +499,52 @@ func (h *Hub) remove(sub *Subscription) {
 	}
 }
 
-// filterFor derives the standing-query predicate from a normalized
-// request.
-func filterFor(req Request) (func(*Update) bool, error) {
+// inWindow reports whether at falls in the request's time bounds.
+func inWindow(req Request) func(time.Time) bool {
 	from, to := req.timeRange()
-	inWindow := func(at time.Time) bool { return !at.Before(from) && !at.After(to) }
-	switch req.Kind {
-	case KindTrajectory:
-		return func(u *Update) bool {
-			return u.Kind == UpdateState && u.State.MMSI == req.MMSI && inWindow(u.State.At)
-		}, nil
-	case KindSpaceTime:
-		r := req.Box.Rect()
-		return func(u *Update) bool {
-			return u.Kind == UpdateState && inWindow(u.State.At) &&
-				r.Contains(geo.Point{Lat: u.State.Lat, Lon: u.State.Lon})
-		}, nil
-	case KindLivePicture:
-		r := req.Box.Rect()
-		return func(u *Update) bool {
-			return u.Kind == UpdateState &&
-				r.Contains(geo.Point{Lat: u.State.Lat, Lon: u.State.Lon})
-		}, nil
-	case KindAlertHistory:
-		return func(u *Update) bool {
-			return u.Kind == UpdateAlert && u.Alert.Severity >= req.MinSeverity &&
-				inWindow(u.Alert.At)
-		}, nil
-	default:
-		return nil, fmt.Errorf("query: kind %q is not streamable (one of %v, or %v via a Streamer)",
-			req.Kind, []Kind{KindTrajectory, KindSpaceTime, KindLivePicture, KindAlertHistory},
-			tickerKinds)
+	return func(at time.Time) bool { return !at.Before(from) && !at.After(to) }
+}
+
+// followFilter follows one vessel's archived states.
+func followFilter(req Request) func(*Update) bool {
+	in := inWindow(req)
+	return func(u *Update) bool {
+		return u.Kind == UpdateState && u.State.MMSI == req.MMSI && in(u.State.At)
 	}
 }
 
-// tickerKinds are the standing queries a pure hub cannot serve: their
-// answers are recomputed through an executor on a cadence, not filtered
-// from the publication stream. The Streamer turns each into a ticker.
-var tickerKinds = []Kind{KindSituation, KindTrack, KindPredict, KindQuality, KindAnomalies}
-
-func isTickerKind(k Kind) bool {
-	for _, t := range tickerKinds {
-		if k == t {
-			return true
-		}
+// boxWatchFilter watches a box, time bounds honoured.
+func boxWatchFilter(req Request) func(*Update) bool {
+	in, r := inWindow(req), req.Box.Rect()
+	return func(u *Update) bool {
+		return u.Kind == UpdateState && in(u.State.At) &&
+			r.Contains(geo.Point{Lat: u.State.Lat, Lon: u.State.Lon})
 	}
-	return false
+}
+
+// liveFilter watches a box without time bounds.
+func liveFilter(req Request) func(*Update) bool {
+	r := req.Box.Rect()
+	return func(u *Update) bool {
+		return u.Kind == UpdateState && r.Contains(geo.Point{Lat: u.State.Lat, Lon: u.State.Lon})
+	}
+}
+
+// alertFilter is the severity- and time-filtered alert feed.
+func alertFilter(req Request) func(*Update) bool {
+	in := inWindow(req)
+	return func(u *Update) bool {
+		return u.Kind == UpdateAlert && u.Alert.Severity >= req.MinSeverity && in(u.Alert.At)
+	}
 }
 
 // Streamer is the full Subscriber over a hub plus an executor: pub/sub
 // kinds go to the hub, the ticker kinds (situation, track, predict,
 // quality, anomalies) periodically recompute their answer through the
-// executor and push it — a predict subscription shows dead-reckoned
-// motion between AIS reports this way. It is also an Executor (delegating one-shot
-// requests), so a Streamer is a complete two-mode surface NewServer can
-// serve on its own.
+// executor and push its Payload — a predict subscription shows
+// dead-reckoned motion between AIS reports this way. It is also an
+// Executor (delegating one-shot requests), so a Streamer is a complete
+// two-mode surface NewServer can serve on its own.
 type Streamer struct {
 	hub  *Hub
 	exec Executor
@@ -596,7 +568,7 @@ func (st *Streamer) Query(req Request) (*Result, error) {
 
 // Subscribe implements Subscriber.
 func (st *Streamer) Subscribe(req Request, opt SubOptions) (*Subscription, error) {
-	if !isTickerKind(req.Kind) {
+	if spec := kindIndex[req.Kind]; spec == nil || !spec.ticker {
 		return st.hub.Subscribe(req, opt)
 	}
 	if err := req.Validate(); err != nil {
@@ -633,37 +605,14 @@ func (st *Streamer) Subscribe(req Request, opt SubOptions) (*Subscription, error
 				sub.setErr(err)
 				return
 			}
-			u := Update{}
-			switch req.Kind {
-			case KindSituation:
-				u.Kind, u.Situation = UpdateSituation, res.Situation
-			case KindTrack:
-				if res.Track == nil { // vessel unknown yet: no tick
-					continue
-				}
-				u.Kind, u.Track = UpdateTrack, res.Track
-			case KindPredict:
-				if res.Prediction == nil {
-					continue
-				}
-				u.Kind, u.Prediction = UpdatePredict, res.Prediction
-			case KindQuality:
-				if res.Quality == nil {
-					continue
-				}
-				u.Kind, u.Quality = UpdateQuality, res.Quality
-			case KindAnomalies:
-				if res.Anomalies == nil { // vessel unknown yet: no tick
-					continue
-				}
-				u.Kind, u.Anomalies = UpdateAnomalies, res.Anomalies
+			if res.Payload == (Payload{}) { // vessel unknown yet: no tick
+				continue
 			}
 			n++
-			u.Seq = n
 			// Ticks are assembled, not published: keep them out of the
 			// hub's In/Out accounting (drops still show on the
 			// subscription itself).
-			sub.offer(u, nil)
+			sub.offer(Update{Seq: n, Kind: UpdateKind(req.Kind), Payload: res.Payload}, nil)
 		}
 	}()
 	return sub, nil

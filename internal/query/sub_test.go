@@ -306,7 +306,7 @@ func TestStreamerSituationTicker(t *testing.T) {
 	defer sub.Cancel()
 	ticks := collect(t, sub, 3)
 	for _, u := range ticks {
-		if u.Kind != UpdateSituation || u.Situation == nil {
+		if u.Kind != UpdateKind(KindSituation) || u.Situation == nil {
 			t.Fatalf("situation ticker pushed %+v", u)
 		}
 		if len(u.Situation.Vessels) != 6 {

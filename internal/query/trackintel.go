@@ -3,11 +3,12 @@
 // confidence envelope) and quality (data-integrity score) — and the
 // deterministic replay that answers them from any Source.
 //
-// A Source that maintains live fused state (the ingest engine's
-// internal/track stage, a federation peer) implements TrackIntelSource
-// and answers directly; every other source is answered by replaying its
-// stored trajectory through the same fusion/forecast/quality libraries
-// the online stage runs (DeriveTrack / DerivePredict / DeriveQuality).
+// A Source that maintains live fused state (the live source through the
+// ingest engine's internal/track lane, a federation peer) answers them
+// directly through Answerer; every other source is answered by replaying
+// its stored trajectory through the same fusion/forecast/quality
+// libraries the online lane runs (DeriveTrack / DerivePredict /
+// DeriveQuality).
 // The replay is a pure function of the point sequence — no wall clock,
 // no randomness — so a tiered store that evicted and paged a vessel
 // back answers byte-identically to one that never evicted it (pinned by
@@ -42,23 +43,6 @@ const (
 	// confidence envelope to the recent past, mirroring forecast.Kalman.
 	predictConfWindow = 30 * time.Minute
 )
-
-// TrackIntelSource is the optional Source extension for the track
-// intelligence kinds. Sources that maintain (or can fetch) fused track
-// state answer directly — the engine takes an implementation's answer
-// as authoritative, nil result included. Sources without it are
-// answered by replaying their stored trajectory (DeriveTrack et al).
-type TrackIntelSource interface {
-	// Track returns the vessel's fused track state, or ok=false when the
-	// vessel is unknown.
-	Track(mmsi uint32) (*TrackState, bool)
-	// Predict forecasts the vessel's position horizon ahead of its last
-	// fix, or ok=false when the vessel is unknown.
-	Predict(mmsi uint32, horizon time.Duration) (*Prediction, bool)
-	// Quality returns the vessel's data-integrity score, or ok=false
-	// when the vessel is unknown.
-	Quality(mmsi uint32) (*QualityScore, bool)
-}
 
 // TrackState is the wire form of one vessel's fused track: the smoothed
 // position/velocity estimate of a constant-velocity Kalman filter and

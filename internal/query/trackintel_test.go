@@ -139,9 +139,9 @@ func TestTrackIntelTickers(t *testing.T) {
 	const mmsi = 201000001
 
 	reqs := map[UpdateKind]Request{
-		UpdateTrack:   {Kind: KindTrack, MMSI: mmsi},
-		UpdatePredict: {Kind: KindPredict, MMSI: mmsi, Horizon: Duration(10 * time.Minute)},
-		UpdateQuality: {Kind: KindQuality, MMSI: mmsi},
+		UpdateKind(KindTrack):   {Kind: KindTrack, MMSI: mmsi},
+		UpdateKind(KindPredict): {Kind: KindPredict, MMSI: mmsi, Horizon: Duration(10 * time.Minute)},
+		UpdateKind(KindQuality): {Kind: KindQuality, MMSI: mmsi},
 	}
 	for kind, req := range reqs {
 		t.Run(string(kind), func(t *testing.T) {
@@ -166,11 +166,11 @@ func TestTrackIntelTickers(t *testing.T) {
 				// one-shot answer.
 				var tick, want any
 				switch kind {
-				case UpdateTrack:
+				case UpdateKind(KindTrack):
 					tick, want = u.Track, oneShot.Track
-				case UpdatePredict:
+				case UpdateKind(KindPredict):
 					tick, want = u.Prediction, oneShot.Prediction
-				case UpdateQuality:
+				case UpdateKind(KindQuality):
 					tick, want = u.Quality, oneShot.Quality
 				}
 				tj, _ := json.Marshal(tick)
@@ -220,7 +220,7 @@ func TestTrackIntelStreamOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, u := range got {
-		if u.Kind != UpdatePredict || u.Prediction == nil {
+		if u.Kind != UpdateKind(KindPredict) || u.Prediction == nil {
 			t.Fatalf("update %d: %+v", i, u)
 		}
 		if i > 0 && u.Seq <= got[i-1].Seq {

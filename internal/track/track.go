@@ -14,9 +14,9 @@
 //   - a quality.Profile integrity score folded per vessel
 //     (query.QualityAccumulator).
 //
-// The stage answers the engine's three track-intelligence kinds through
-// query.TrackIntelSource (Stages routes each vessel to its owning
-// shard's stage), so one-shot HTTP, standing /v1/stream queries,
+// The stage set answers the engine's three track-intelligence kinds as
+// a lane of the live source (Stages.Answer routes each vessel to its
+// owning shard's stage), so one-shot HTTP, standing /v1/stream queries,
 // federation and tiering all read the same state. Everything is
 // off-switchable: a nil ingest Config.Track means no stage in the tee
 // and zero cost.
@@ -126,7 +126,6 @@ type Stage struct {
 }
 
 var _ tstore.Sink = (*Stage)(nil)
-var _ query.TrackIntelSource = (*Stage)(nil)
 
 // NewStage builds one shard's stage.
 func NewStage(cfg Config) *Stage {
@@ -229,7 +228,7 @@ func (v *vesselTrack) asTrack(mmsi uint32) *fusion.Track {
 	}
 }
 
-// Track implements query.TrackIntelSource for this shard's vessels.
+// Track returns a vessel's fused track state (nil, false when unknown).
 func (s *Stage) Track(mmsi uint32) (*query.TrackState, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -240,7 +239,7 @@ func (s *Stage) Track(mmsi uint32) (*query.TrackState, bool) {
 	return query.TrackStateOf(v.asTrack(mmsi)), true
 }
 
-// Predict implements query.TrackIntelSource: the shard-shared route
+// Predict forecasts a vessel horizon ahead: the shard-shared route
 // model (every vessel's lanes) with dead-reckoning fallback, over the
 // vessel's recent points.
 func (s *Stage) Predict(mmsi uint32, horizon time.Duration) (*query.Prediction, bool) {
@@ -259,7 +258,7 @@ func (s *Stage) Predict(mmsi uint32, horizon time.Duration) (*query.Prediction, 
 	return p, true
 }
 
-// Quality implements query.TrackIntelSource.
+// Quality returns a vessel's data-integrity score.
 func (s *Stage) Quality(mmsi uint32) (*query.QualityScore, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -398,8 +397,8 @@ func (s *Stage) orphanLocked(d Detection) {
 
 // Stages is the sharded stage set: one Stage per ingest shard, vessels
 // routed by the same hash the pipelines shard by. It implements
-// query.TrackIntelSource, so the engine's live source reads fused state
-// straight from it.
+// query.Answerer, so the engine's live source reads fused state straight
+// from it.
 type Stages []*Stage
 
 // NewStages builds n stages (one per shard).
@@ -419,19 +418,25 @@ func (ss Stages) ShardFor(mmsi uint32) *Stage {
 	return ss[stream.ShardOf(uint64(mmsi), len(ss))]
 }
 
-// Track implements query.TrackIntelSource.
-func (ss Stages) Track(mmsi uint32) (*query.TrackState, bool) {
-	return ss.ShardFor(mmsi).Track(mmsi)
-}
-
-// Predict implements query.TrackIntelSource.
-func (ss Stages) Predict(mmsi uint32, horizon time.Duration) (*query.Prediction, bool) {
-	return ss.ShardFor(mmsi).Predict(mmsi, horizon)
-}
-
-// Quality implements query.TrackIntelSource.
-func (ss Stages) Quality(mmsi uint32) (*query.QualityScore, bool) {
-	return ss.ShardFor(mmsi).Quality(mmsi)
+// Answer implements query.Answerer: the owning shard's state for the
+// track, predict and quality kinds. It declines other kinds and vessels
+// the stage has not observed; the engine answers those by replay.
+func (ss Stages) Answer(req query.Request) (*query.Result, bool) {
+	s := ss.ShardFor(req.MMSI)
+	var p query.Payload
+	var ok bool
+	switch req.Kind {
+	case query.KindTrack:
+		p.Track, ok = s.Track(req.MMSI)
+	case query.KindPredict:
+		p.Prediction, ok = s.Predict(req.MMSI, time.Duration(req.Horizon))
+	case query.KindQuality:
+		p.Quality, ok = s.Quality(req.MMSI)
+	}
+	if !ok {
+		return nil, false
+	}
+	return &query.Result{Kind: req.Kind, Payload: p}, true
 }
 
 // Process fuses a batch of detections, grouped into scans by timestamp
@@ -443,9 +448,6 @@ func (ss Stages) Quality(mmsi uint32) (*query.QualityScore, bool) {
 func (ss Stages) Process(ds []Detection) int {
 	if len(ss) == 0 || len(ds) == 0 {
 		return 0
-	}
-	for i := range ss {
-		ss[i].contacts.Add(0) // touch nothing; counts added per scan below
 	}
 	n := 0
 	i := 0

@@ -148,7 +148,7 @@ func TestRadarAssociation(t *testing.T) {
 	if n := ss.Process([]Detection{near, far}); n != 1 {
 		t.Fatalf("Process fused %d contacts, want 1", n)
 	}
-	ts, ok := ss.Track(lastA.MMSI)
+	ts, ok := ss.ShardFor(lastA.MMSI).Track(lastA.MMSI)
 	if !ok {
 		t.Fatal("vessel lost after radar fusion")
 	}
@@ -158,7 +158,7 @@ func TestRadarAssociation(t *testing.T) {
 	if !ts.At.Equal(scanAt) {
 		t.Fatalf("track At %v, want the scan instant %v", ts.At, scanAt)
 	}
-	if tsB, _ := ss.Track(201000002); tsB.Sources["radar"] != 0 {
+	if tsB, _ := ss.ShardFor(201000002).Track(201000002); tsB.Sources["radar"] != 0 {
 		t.Fatalf("distant vessel caught the contact: %v", tsB.Sources)
 	}
 	if got := ss.OrphanCount(); got != 1 {

@@ -532,16 +532,12 @@ type (
 	QueryPeerSource = query.PeerSource
 )
 
-// The update kinds a subscription delivers.
+// The update kinds a subscription delivers besides ticks; a ticker
+// subscription's updates carry the request's QueryKind.
 const (
 	QueryUpdateState     = query.UpdateState
 	QueryUpdateAlert     = query.UpdateAlert
-	QueryUpdateSituation = query.UpdateSituation
 	QueryUpdateHeartbeat = query.UpdateHeartbeat
-	QueryUpdateTrack     = query.UpdateTrack
-	QueryUpdatePredict   = query.UpdatePredict
-	QueryUpdateQuality   = query.UpdateQuality
-	QueryUpdateAnomalies = query.UpdateAnomalies
 )
 
 // The query kinds.
