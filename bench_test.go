@@ -1,7 +1,8 @@
-// Top-level benchmarks: one per experiment in DESIGN.md's index. Each
-// bench regenerates the corresponding table/figure of the reproduction
-// (cmd/benchrunner prints the same rows for EXPERIMENTS.md); b.N drives
-// repetition so `go test -bench=.` also measures the harness cost itself.
+// Top-level benchmarks: one per reproduction experiment E1–E13 (the
+// README's "Experiments & benchmarks"). Each bench regenerates the
+// corresponding table/figure of the reproduction (cmd/benchrunner prints
+// the same rows); b.N drives repetition so `go test -bench=.` also
+// measures the harness cost itself.
 package maritime
 
 import (
@@ -91,13 +92,7 @@ func BenchmarkE13_VA(b *testing.B) {
 	}
 }
 
-func BenchmarkE15_Persistence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.E15(42)
-	}
-}
-
-// --- sharded ingest scaling (E14's benchmark form) ---------------------------------
+// --- sharded ingest scaling ---------------------------------------------------------
 //
 // BenchmarkIngestSharded{1,2,4,8} replay the same dense synthetic feed
 // through the async ingest engine at increasing shard counts, so

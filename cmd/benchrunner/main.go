@@ -1,14 +1,15 @@
-// Command benchrunner regenerates every experiment in DESIGN.md's index
-// (E1–E22) and prints the paper-style tables EXPERIMENTS.md records. It
-// also emits a machine-readable BENCH_<n>.json next to the working
-// directory's previous ones (auto-numbered), so the repository accumulates
-// a perf trajectory across PRs; disable with -json off or redirect with
-// -json PATH.
+// Command benchrunner regenerates the reproduction experiments (E1–E13,
+// the paper's claims; E20/E21, accuracy of the track and anomaly lanes
+// against simulator truth) and prints the paper-style tables listed in
+// the README's "Experiments & benchmarks". It also emits a
+// machine-readable BENCH_<n>.json next to the working directory's
+// previous ones (auto-numbered); disable with -json off or redirect with
+// -json PATH. Performance is measured by perfbench, not here.
 //
 // Usage:
 //
 //	benchrunner               # run everything, write BENCH_<n>.json
-//	benchrunner -only E2,E9   # run a subset
+//	benchrunner -only E2,E9   # run a subset (unknown ids exit 2)
 //	benchrunner -json off     # skip the JSON record
 package main
 
@@ -48,54 +49,31 @@ func main() {
 	jsonOut := flag.String("json", "auto", `perf record: "auto" (next BENCH_<n>.json), "off", or a path`)
 	flag.Parse()
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
-	}
 	doc := benchDoc{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Seed:        *seed,
 	}
-	run := func(id string, fn func() experiments.Table) {
-		if len(want) > 0 && !want[id] {
-			return
+	want, err := selectIDs(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchrunner:", err)
+		os.Exit(2)
+	}
+	for _, x := range all {
+		if len(want) > 0 && !want[x.id] {
+			continue
 		}
 		start := time.Now()
-		t := fn()
+		t := x.run(*seed)
 		elapsed := time.Since(start)
 		fmt.Println(t.Format())
-		fmt.Printf("(%s in %v)\n\n", id, elapsed.Round(time.Millisecond))
+		fmt.Printf("(%s in %v)\n\n", x.id, elapsed.Round(time.Millisecond))
 		doc.Experiments = append(doc.Experiments, benchEntry{
 			ID: t.ID, Title: t.Title, Cols: t.Cols, Rows: t.Rows, Notes: t.Notes,
 			ElapsedMS: elapsed.Milliseconds(),
 		})
 	}
-	run("E1", func() experiments.Table { return experiments.E1(*seed, 400, 40*time.Minute) })
-	run("E2", func() experiments.Table { return experiments.E2(*seed) })
-	run("E3", func() experiments.Table { return experiments.E3(*seed) })
-	run("E4", func() experiments.Table { return experiments.E4(*seed) })
-	run("E5", func() experiments.Table { return experiments.E5(*seed, []int{1, 2, 4, 8}) })
-	run("E6", func() experiments.Table { return experiments.E6(*seed) })
-	run("E7", func() experiments.Table { return experiments.E7(*seed) })
-	run("E8", func() experiments.Table { return experiments.E8(*seed) })
-	run("E9", func() experiments.Table { return experiments.E9(*seed) })
-	run("E10", func() experiments.Table { return experiments.E10(*seed) })
-	run("E11", func() experiments.Table { return experiments.E11(*seed, 200000) })
-	run("E12", func() experiments.Table { return experiments.E12(*seed, 1000) })
-	run("E13", func() experiments.Table { return experiments.E13(*seed) })
-	run("E14", func() experiments.Table { return experiments.E14(*seed, []int{1, 2, 4, 8}) })
-	run("E15", func() experiments.Table { return experiments.E15(*seed) })
-	run("E16", func() experiments.Table { return experiments.E16(*seed) })
-	run("E17", func() experiments.Table { return experiments.E17(*seed) })
-	run("E18", func() experiments.Table { return experiments.E18(*seed) })
-	run("E19", func() experiments.Table { return experiments.E19(*seed) })
-	run("E20", func() experiments.Table { return experiments.E20(*seed) })
-	run("E21", func() experiments.Table { return experiments.E21(*seed) })
-	run("E22", func() experiments.Table { return experiments.E22(*seed) })
 
 	if *jsonOut == "off" || *jsonOut == "" {
 		return
@@ -127,4 +105,57 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("perf record → %s\n", path)
+}
+
+type experiment struct {
+	id  string
+	run func(seed int64) experiments.Table
+}
+
+// all lists every experiment benchrunner runs, in print order.
+var all = []experiment{
+	{"E1", func(seed int64) experiments.Table { return experiments.E1(seed, 400, 40*time.Minute) }},
+	{"E2", experiments.E2},
+	{"E3", experiments.E3},
+	{"E4", experiments.E4},
+	{"E5", func(seed int64) experiments.Table { return experiments.E5(seed, []int{1, 2, 4, 8}) }},
+	{"E6", experiments.E6},
+	{"E7", experiments.E7},
+	{"E8", experiments.E8},
+	{"E9", experiments.E9},
+	{"E10", experiments.E10},
+	{"E11", func(seed int64) experiments.Table { return experiments.E11(seed, 200000) }},
+	{"E12", func(seed int64) experiments.Table { return experiments.E12(seed, 1000) }},
+	{"E13", experiments.E13},
+	{"E20", experiments.E20},
+	{"E21", experiments.E21},
+}
+
+// selectIDs parses -only into the set of ids to run (empty = all) and
+// rejects any id that names no experiment, so a stale id fails loudly
+// instead of silently running a smaller subset.
+func selectIDs(only string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if only == "" {
+		return want, nil
+	}
+	known := map[string]bool{}
+	var ids []string
+	for _, x := range all {
+		known[x.id] = true
+		ids = append(ids, x.id)
+	}
+	var unknown []string
+	for _, id := range strings.Split(only, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if !known[id] {
+			unknown = append(unknown, id)
+		}
+		want[id] = true
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown experiment id(s) %s in -only; valid ids: %s",
+			strings.Join(unknown, ","), strings.Join(ids, ","))
+	}
+	return want, nil
 }

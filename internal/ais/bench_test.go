@@ -8,8 +8,8 @@ import (
 // Decode-path allocation benchmarks (the ROADMAP hot-path item): together
 // with BenchmarkDecodePosition (ais_test.go) — the single-fragment case
 // that is the overwhelming bulk of AIS traffic — this pins the allocs/op
-// that bound the single-worker decode ceiling the E14 submitter loop
-// shows. The multi-fragment case exercises payload reassembly and the
+// that bound the single-worker decode ceiling (perfbench backfill's
+// ais.decode_ns_per_line). The multi-fragment case exercises payload reassembly and the
 // pending-fragment map. EXPERIMENTS.md records the before/after numbers.
 
 func benchSentences(b *testing.B, msg any) []string {

@@ -9,8 +9,8 @@
 // event-time order per vessel and exposes the live picture, the archive,
 // the alert stream and forecasts. For multi-core scaling, a Sharded
 // pipeline partitions the fleet by MMSI across independent pipelines
-// (pairwise detection then happens per shard; the E5 bench quantifies the
-// throughput gain and DESIGN.md records the cross-shard trade-off).
+// (pairwise detection then happens per shard; E5 quantifies the throughput
+// gain and README "Sharded async ingest" records the cross-shard trade-off).
 package core
 
 import (

@@ -223,8 +223,8 @@ func TestShardedMatchesSingleOnPerVesselMetrics(t *testing.T) {
 // TestShardedSituationMatchesSinglePipeline pins the Sharded.Situation
 // merge: over the same input, the sharded operational picture — density
 // grid, live vessel set, per-vessel alert board — equals a single
-// pipeline's. Pairwise detectors are shard-local by design (DESIGN.md
-// trade-off), so the comparison runs the per-vessel detector battery
+// pipeline's. Pairwise detectors are shard-local by design (the README's
+// "Sharded async ingest" trade-off), so the comparison runs the per-vessel detector battery
 // only; the grid and vessel equality below is what the merge must
 // guarantee regardless.
 func TestShardedSituationMatchesSinglePipeline(t *testing.T) {

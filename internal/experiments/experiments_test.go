@@ -192,9 +192,38 @@ func TestE13AllLevelsBuild(t *testing.T) {
 	}
 }
 
-func TestStoreForBench(t *testing.T) {
-	st := StoreForBench(1, 10, 20)
-	if st.Len() != 200 || st.VesselCount() != 10 {
-		t.Errorf("store: %d points, %d vessels", st.Len(), st.VesselCount())
+// TestE21DetectionQuality holds the anomaly lane to floors it can fail:
+// at seed 42 (the benchrunner record's seed) gap recall, rendezvous
+// recall and precision, and course-deviation/clean profile separation
+// must each clear e21Floors.
+func TestE21DetectionQuality(t *testing.T) {
+	tbl := E21(42)
+	checkTable(t, tbl)
+	cell := func(label string, col int) float64 {
+		t.Helper()
+		for _, r := range tbl.Rows {
+			if r[0] == label {
+				var v float64
+				if _, err := parsePct(r[col], &v); err != nil {
+					t.Fatal(err)
+				}
+				return v
+			}
+		}
+		t.Fatalf("E21 has no %q row:\n%s", label, tbl.Format())
+		return 0
+	}
+	for _, c := range []struct {
+		name       string
+		got, floor float64
+	}{
+		{"gap recall", cell("gap recognition vs dark windows", 2), e21Floors.GapRecall},
+		{"rendezvous recall", cell("possible-rendezvous CEP vs dark meetings", 3), e21Floors.RendezvousRecall},
+		{"rendezvous precision", cell("possible-rendezvous CEP vs dark meetings", 2), e21Floors.RendezvousPrecision},
+		{"profile separation", cell("profile shift score, course-deviation vs clean", 4), e21Floors.ProfileSeparation},
+	} {
+		if c.got < c.floor {
+			t.Errorf("%s %.2f below floor %.2f:\n%s", c.name, c.got, c.floor, tbl.Format())
+		}
 	}
 }

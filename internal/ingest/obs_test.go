@@ -268,8 +268,8 @@ func TestTracePropagationAllKinds(t *testing.T) {
 
 // BenchmarkObsOverhead compares the ingest hot path with observability
 // off (Config.Obs nil: instrumentation sites reduce to nil checks) and
-// on (live registry). E19 reports the end-to-end ratio; this pins the
-// per-message cost for CI's bench smoke.
+// on (live registry). This pins the per-message cost for CI's bench
+// smoke; perfbench runs its workloads with obs on, as maritimed does.
 func BenchmarkObsOverhead(b *testing.B) {
 	run := simTraffic(b, 11, 200, 30*time.Minute)
 	for _, mode := range []struct {

@@ -465,7 +465,8 @@ func TestLimitTruncates(t *testing.T) {
 	}
 }
 
-// --- benchmarks (the E16 kinds; CI bench smoke compiles and runs these) ---------
+// --- benchmarks (CI bench smoke runs these; perfbench live-ops reports the
+// end-to-end query.<shape>.p50_us/p99_us) ---------------------------------
 
 func benchEngine(b *testing.B) *Engine {
 	b.Helper()

@@ -266,7 +266,8 @@ func TestSubscriptionCancelIsCleanAndIdempotent(t *testing.T) {
 }
 
 // benchmarkHubFanout measures publish cost with n live subscribers all
-// matching every update (the E17 fan-out section's inner loop).
+// matching every update; perfbench live-ops reports the end-to-end
+// update_lag_* and hub.* metrics.
 func benchmarkHubFanout(b *testing.B, subs int) {
 	hub := NewHub(HubConfig{})
 	world := Box{MinLat: -90, MinLon: -180, MaxLat: 90, MaxLon: 180}

@@ -171,11 +171,23 @@ func TestCorruptMidSegmentIsError(t *testing.T) {
 // TestReplayEqualsInMemory is the WAL-replay property test: for random
 // batches appended through the full disk lifecycle — rotations,
 // compactions, reopens — the recovered store must equal an in-memory
-// store fed the same (quantised) records.
+// store fed the same (quantised) records, under every fsync policy
+// (SyncAlways is what `maritimed -fsync always` selects).
 func TestReplayEqualsInMemory(t *testing.T) {
+	for _, pol := range []struct {
+		name string
+		sync SyncPolicy
+	}{{"rotate", SyncRotate}, {"always", SyncAlways}, {"never", SyncNever}} {
+		t.Run(pol.name, func(t *testing.T) {
+			testReplayEqualsInMemory(t, pol.sync)
+		})
+	}
+}
+
+func testReplayEqualsInMemory(t *testing.T, policy SyncPolicy) {
 	rng := rand.New(rand.NewSource(99))
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, SegmentBytes: 4096, CompactEvery: 2}
+	cfg := Config{Dir: dir, SegmentBytes: 4096, CompactEvery: 2, Sync: policy}
 	mem := tstore.New()
 
 	i := 0

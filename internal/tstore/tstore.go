@@ -838,7 +838,7 @@ func (sn *Snapshot) Search(r geo.Rect, from, to time.Time) []model.VesselState {
 // already-emitted vessel is skipped without scanning. This replaces the
 // old fetch-then-filter loop over the point R-tree, which re-fetched 4×
 // more candidates each round and waded through hundreds of co-located
-// same-vessel samples — ms-range where this is µs-range (E16/E17).
+// same-vessel samples — ms-range where this is µs-range (BenchmarkQueryNearest).
 func (sn *Snapshot) NearestVessels(p geo.Point, at time.Time, tol time.Duration, k int) []model.VesselState {
 	if k <= 0 || len(sn.chunks) == 0 {
 		return nil
